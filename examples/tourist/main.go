@@ -1,8 +1,8 @@
-// Tourist is the paper's §2 motivating scenario on the live peer runtime: a
-// tourist's handset wants inexpensive, highly rated restaurants within
-// walking distance, but its own data covers only part of the area, so it
-// queries nearby devices over ad hoc links. Every peer is a goroutine;
-// messages travel over an in-memory transport with latency and loss.
+// Tourist is the paper's §2 motivating scenario on live peers: a tourist's
+// handset wants inexpensive, highly rated restaurants within walking
+// distance, but its own data covers only part of the area, so it queries
+// nearby devices over ad hoc links. Every device is a TCP peer on loopback,
+// linked to the peers within radio range.
 //
 // Run with: go run ./examples/tourist
 package main
@@ -10,11 +10,10 @@ package main
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"manetskyline/internal/core"
 	"manetskyline/internal/gen"
-	"manetskyline/internal/p2p"
+	"manetskyline/internal/tcp"
 	"manetskyline/internal/tuple"
 )
 
@@ -30,36 +29,39 @@ func main() {
 	const g = 4
 	parts := gen.GridPartition(restaurants, g, cfg.Space)
 
-	net := p2p.NewNetwork(p2p.Config{
-		Latency:      3 * time.Millisecond,
-		Jitter:       2 * time.Millisecond,
-		Loss:         0.02,
-		QueryTimeout: 2 * time.Second,
-		Quorum:       0.8, // like the paper's BF response-time rule
-		Seed:         7,
-	})
-	defer net.Close()
-
-	peers := make([]*p2p.Peer, len(parts))
+	dir := tcp.NewDirectory()
+	peers := make([]*tcp.Peer, len(parts))
 	for i, part := range parts {
 		pos := gen.CellRect(i/g, i%g, g, cfg.Space).Center()
-		peers[i] = net.AddPeer(core.DeviceID(i), part, cfg.Schema(), core.Under, true, pos)
+		p, err := tcp.NewPeer(core.DeviceID(i), part, cfg.Schema(), core.Under, true,
+			pos, dir, tcp.DefaultConfig())
+		if err != nil {
+			panic(err)
+		}
+		defer p.Close()
+		peers[i] = p
 	}
 	// Ad hoc links between devices within radio range.
-	net.LinkByRange(380)
+	const radioRange = 380
+	for _, a := range peers {
+		for _, b := range peers {
+			if a != b && a.Pos().Dist(b.Pos()) <= radioRange {
+				a.AddNeighbor(b.ID())
+			}
+		}
+	}
 
 	// The tourist stands near the middle of the city and wants options
 	// within 300 m.
-	me := peers[5]
+	const mine = 5
+	me := peers[mine]
 	const walkingDistance = 300
 
-	local := me.LocalSkyline(walkingDistance)
-	fmt.Printf("my own data only: %d candidate restaurants\n", len(local))
+	_, local := core.NewDevice(mine, parts[mine], cfg.Schema(), core.Under, true).
+		Originate(me.Pos(), walkingDistance)
+	fmt.Printf("my own data only: %d candidate restaurants\n", len(local.Skyline))
 
-	// Progressive refinement: watch the answer improve as devices reply.
-	res, err := me.QueryProgressive(walkingDistance, func(partial []tuple.Tuple, results int) {
-		fmt.Printf("  ... %d replies in: %d candidates so far\n", results, len(partial))
-	})
+	res, err := me.Query(walkingDistance, len(peers))
 	if err != nil {
 		panic(err)
 	}

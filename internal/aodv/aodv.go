@@ -14,6 +14,7 @@ package aodv
 
 import (
 	"fmt"
+	"slices"
 
 	"manetskyline/internal/mobility"
 	"manetskyline/internal/radio"
@@ -281,7 +282,9 @@ func (nd *node) validRoute(dst radio.NodeID) *route {
 	return r
 }
 
-// invalidateVia marks every route through the broken neighbour invalid.
+// invalidateVia marks every route through the broken neighbour invalid and
+// returns the lost destinations in ascending order, so the RERRs they
+// trigger go out in the same order on every run of a seed.
 func (nd *node) invalidateVia(neighbor radio.NodeID) []radio.NodeID {
 	var lost []radio.NodeID
 	for dst, r := range nd.routes {
@@ -290,6 +293,7 @@ func (nd *node) invalidateVia(neighbor radio.NodeID) []radio.NodeID {
 			lost = append(lost, dst)
 		}
 	}
+	slices.Sort(lost)
 	return lost
 }
 

@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"testing"
 
 	"manetskyline/internal/mobility"
@@ -183,6 +184,33 @@ func TestBroadcastLocal(t *testing.T) {
 		t.Errorf("heard: %+v", heard)
 	}
 	_ = w
+}
+
+// TestInvalidateViaSorted pins the order of lost destinations on a link
+// break: ascending, whatever order the route map iterates in, and only the
+// routes through the broken neighbour.
+func TestInvalidateViaSorted(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		nd := &node{routes: map[radio.NodeID]*route{}}
+		for _, dst := range []radio.NodeID{9, 3, 12, 5, 7, 1, 30, 4} {
+			nd.routes[dst] = &route{nextHop: 2, valid: true}
+		}
+		nd.routes[6] = &route{nextHop: 8, valid: true}   // other neighbour
+		nd.routes[11] = &route{nextHop: 2, valid: false} // already invalid
+		lost := nd.invalidateVia(2)
+		want := []radio.NodeID{1, 3, 4, 5, 7, 9, 12, 30}
+		if !slices.Equal(lost, want) {
+			t.Fatalf("run %d: lost = %v, want %v", run, lost, want)
+		}
+		for _, dst := range want {
+			if nd.routes[dst].valid {
+				t.Fatalf("route to %d still valid", dst)
+			}
+		}
+		if !nd.routes[6].valid {
+			t.Fatalf("route through another neighbour was invalidated")
+		}
+	}
 }
 
 func TestSelfSendPanics(t *testing.T) {

@@ -8,7 +8,7 @@
 // assembly with duplicate elimination (§4.3), the data-reduction-rate
 // accounting of Formula 1, and the static-grid executor used for the
 // pre-tests of §5.2.2-I. The MANET simulator (internal/manet) and the live
-// peer runtime (internal/p2p) both drive their devices through this package.
+// TCP peers (internal/tcp) both drive their devices through this package.
 package core
 
 import (

@@ -196,9 +196,6 @@ type Params struct {
 	// golden traces byte-identical.
 	FloodRoutes bool
 
-	// StartAtCells starts each device at the centre of its data's grid
-	// cell instead of a uniform random point.
-	StartAtCells bool
 	// Static disables movement entirely (devices stay at their starting
 	// points); used by correctness tests.
 	Static bool
@@ -257,8 +254,7 @@ func DefaultParams() Params {
 		Aodv:     aodv.DefaultConfig(),
 		Cost:     device.Handheld200MHz(),
 
-		StartAtCells: true,
-		Seed:         1,
+		Seed: 1,
 	}
 }
 

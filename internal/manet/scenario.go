@@ -229,19 +229,7 @@ func Run(p Params) *Outcome {
 // build constructs the devices, network, and query schedule.
 func build(p Params) *scenario {
 	eng := sim.NewEngine(p.Seed)
-	// Declare the mobility speed bound to the radio's spatial grid unless
-	// the caller pinned one: static scenarios build the grid once, mobile
-	// ones rebuild only when accumulated drift could change a cell. Neighbor
-	// sets are exact in every mode, so this never perturbs a run.
-	rcfg := p.Radio
-	if rcfg.MaxSpeed == 0 {
-		if p.Static {
-			rcfg.MaxSpeed = -1
-		} else {
-			rcfg.MaxSpeed = p.Mobility.SpeedMax
-		}
-	}
-	med := radio.New(eng, rcfg)
+	med := radio.New(eng, p.Radio)
 	net := aodv.New(eng, med, p.Aodv)
 	sc := &scenario{
 		p:       p,
@@ -309,13 +297,7 @@ func build(p Params) *scenario {
 		dev.NumFilters = p.NumFilters
 		dev.Met = devMet
 
-		row, col := i/p.Grid, i%p.Grid
-		var start tuple.Point
-		if p.StartAtCells {
-			start = gen.CellRect(row, col, p.Grid, p.Space).Center()
-		} else {
-			start = tuple.Point{X: rng.Float64() * p.Space, Y: rng.Float64() * p.Space}
-		}
+		start := gen.CellRect(i/p.Grid, i%p.Grid, p.Grid, p.Space).Center()
 		var mob mobility.Model
 		switch {
 		case p.Static:

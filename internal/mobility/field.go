@@ -25,12 +25,12 @@ type Field struct {
 
 // fieldNode is one node's trajectory state: RNG + current leg + direction.
 type fieldNode struct {
-	state          uint64 // splitmix64 state: the whole RNG, 8 bytes
-	t0, moveEnd    float64
-	t1             float64
-	fromX, fromY   float64
-	toX, toY       float64
-	dx, dy         float64
+	state        uint64 // splitmix64 state: the whole RNG, 8 bytes
+	t0, moveEnd  float64
+	t1           float64
+	fromX, fromY float64
+	toX, toY     float64
+	dx, dy       float64
 }
 
 // NewField creates an empty field; Add nodes before the simulation starts.
@@ -127,3 +127,6 @@ type fieldModel struct {
 }
 
 func (m fieldModel) Pos(t float64) tuple.Point { return m.f.Pos(int(m.i), t) }
+
+// MaxSpeed declares the field's fastest leg speed, Config.SpeedMax.
+func (m fieldModel) MaxSpeed() float64 { return m.f.cfg.SpeedMax }

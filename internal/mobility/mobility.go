@@ -12,6 +12,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"manetskyline/internal/tuple"
@@ -23,12 +24,38 @@ type Model interface {
 	Pos(t float64) tuple.Point
 }
 
+// Bounded is implemented by models that declare the fastest they ever
+// move. The radio medium uses the bound to keep its spatial index across
+// timesteps; a model that declares none may move arbitrarily (teleport).
+type Bounded interface {
+	// MaxSpeed returns the speed bound in m/s; 0 means the node never moves.
+	MaxSpeed() float64
+}
+
+// SpeedBound returns the fastest any of the models moves: the maximum of
+// their declared bounds, or +Inf (unknown) when any model declares none.
+// No models at all bound to 0.
+func SpeedBound(models ...Model) float64 {
+	bound := 0.0
+	for _, m := range models {
+		b, ok := m.(Bounded)
+		if !ok {
+			return math.Inf(1)
+		}
+		bound = max(bound, b.MaxSpeed())
+	}
+	return bound
+}
+
 // Static is a motionless node, used by the pre-tests and as a degenerate
 // mobility model.
 type Static tuple.Point
 
 // Pos returns the fixed position.
 func (s Static) Pos(float64) tuple.Point { return tuple.Point(s) }
+
+// MaxSpeed declares that a static node never moves.
+func (Static) MaxSpeed() float64 { return 0 }
 
 // Config parameterizes the random waypoint model.
 type Config struct {
@@ -106,6 +133,9 @@ func NewWaypointAt(cfg Config, start tuple.Point, seed int64) *Waypoint {
 	w.setCur(0)
 	return w
 }
+
+// MaxSpeed declares the fastest leg speed, Config.SpeedMax.
+func (w *Waypoint) MaxSpeed() float64 { return w.cfg.SpeedMax }
 
 // setCur moves the leg cursor and refreshes the memoized leg and its
 // direction vector. The deltas are the same expressions Pos used to

@@ -15,6 +15,39 @@ func TestStatic(t *testing.T) {
 	}
 }
 
+// undeclared moves without declaring a speed bound.
+type undeclared struct{}
+
+func (undeclared) Pos(float64) tuple.Point { return tuple.Point{} }
+
+// TestSpeedBound pins the bound the radio medium derives from its nodes:
+// the maximum of the declared bounds, or unknown (+Inf) as soon as one
+// model declares none.
+func TestSpeedBound(t *testing.T) {
+	slow := Config{Space: 1000, SpeedMin: 1, SpeedMax: 4, Pause: 0}
+	fast := DefaultConfig() // SpeedMax 10
+	field := NewField(slow)
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		models []Model
+		want   float64
+	}{
+		{"none", nil, 0},
+		{"static", []Model{Static{}, Static{X: 5}}, 0},
+		{"waypoint", []Model{NewWaypoint(fast, 1)}, 10},
+		{"field", []Model{field.Model(field.AddRandom(1))}, 4},
+		{"max of declared", []Model{Static{}, NewWaypoint(slow, 2), NewWaypoint(fast, 3),
+			field.Model(field.AddRandom(2))}, 10},
+		{"undeclared alone", []Model{undeclared{}}, inf},
+		{"undeclared among declared", []Model{NewWaypoint(fast, 4), Static{}, undeclared{}}, inf},
+	} {
+		if got := SpeedBound(tc.models...); got != tc.want {
+			t.Errorf("%s: SpeedBound = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {

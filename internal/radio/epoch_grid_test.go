@@ -21,20 +21,44 @@ func (m linearModel) Pos(t float64) tuple.Point {
 	return tuple.Point{X: m.x0 + m.vx*t, Y: m.y0 + m.vy*t}
 }
 
+// MaxSpeed declares the model's exact speed.
+func (m linearModel) MaxSpeed() float64 { return math.Hypot(m.vx, m.vy) }
+
 // teleportModel holds a mutable position: the churn test reassigns it
-// between ticks to model nodes that jump arbitrarily far with no speed
-// bound.
+// between ticks to model nodes that jump arbitrarily far. It declares no
+// speed bound.
 type teleportModel struct{ p tuple.Point }
 
 func (m *teleportModel) Pos(float64) tuple.Point { return m.p }
 
 // TestEpochGridMatchesBruteForce is the property test for the epoch grid
-// under a declared speed bound: random waypoint motion, probe times chosen
-// so that most probes land *between* rebuilds — exercising stale buckets,
-// the expanded probe ring, and incremental cell migration — and every
-// probe must still return exactly the brute-force neighbor set, same IDs,
-// same order.
+// under a declared speed bound: random waypoint motion from either backend
+// (*Waypoint or a Field node), probe times chosen so that most probes land
+// *between* rebuilds — exercising stale buckets, the expanded probe ring,
+// and incremental cell migration — and every probe must still return
+// exactly the brute-force neighbor set, same IDs, same order.
 func TestEpochGridMatchesBruteForce(t *testing.T) {
+	mcfg := mobility.DefaultConfig()
+	backends := []struct {
+		name  string
+		nodes func(n int) []mobility.Model
+	}{
+		{"waypoint", func(n int) []mobility.Model {
+			ms := make([]mobility.Model, n)
+			for i := range ms {
+				ms[i] = mobility.NewWaypoint(mcfg, int64(i+1))
+			}
+			return ms
+		}},
+		{"field", func(n int) []mobility.Model {
+			f := mobility.NewField(mcfg)
+			ms := make([]mobility.Model, n)
+			for i := range ms {
+				ms[i] = f.Model(f.AddRandom(int64(i + 1)))
+			}
+			return ms
+		}},
+	}
 	for _, tc := range []struct {
 		nodes int
 		rng   float64
@@ -43,42 +67,48 @@ func TestEpochGridMatchesBruteForce(t *testing.T) {
 		{9, 100}, {49, 100}, {100, 100}, {100, 60},
 	} {
 		t.Run(fmt.Sprintf("nodes=%d/range=%g", tc.nodes, tc.rng), func(t *testing.T) {
-			eng := sim.NewEngine(3)
-			cfg := DefaultConfig()
-			cfg.Range = tc.rng
-			mcfg := mobility.DefaultConfig()
-			cfg.MaxSpeed = mcfg.SpeedMax // bounded-motion epoch mode
-			med := New(eng, cfg)
-			for i := 0; i < tc.nodes; i++ {
-				med.AddNode(mobility.NewWaypoint(mcfg, int64(i+1)), func(NodeID, Payload) {})
-			}
-			r := rand.New(rand.NewSource(17))
-			now := 0.0
-			rebuilds := 0
-			lastEpoch := -1.0
-			for step := 0; step < 120; step++ {
-				// Small steps relative to side/maxSpeed keep several probe
-				// instants inside each epoch window.
-				now += r.Float64() * 2
-				eng.Run(now)
-				for id := NodeID(0); id < NodeID(tc.nodes); id++ {
-					got := med.Neighbors(id)
-					want := bruteNeighbors(med, id)
-					if !slices.Equal(got, want) {
-						t.Fatalf("t=%g node %d: grid %v != brute force %v",
-							now, id, got, want)
+			for _, be := range backends {
+				t.Run(be.name, func(t *testing.T) {
+					eng := sim.NewEngine(3)
+					cfg := DefaultConfig()
+					cfg.Range = tc.rng
+					med := New(eng, cfg)
+					for _, mob := range be.nodes(tc.nodes) {
+						med.AddNode(mob, func(NodeID, Payload) {})
 					}
-				}
-				if med.grid.epoch != lastEpoch {
-					lastEpoch = med.grid.epoch
-					rebuilds++
-				}
-			}
-			// The point of the epoch grid: far fewer rebuilds than probe
-			// timesteps. If this fires, the grid fell back to per-timestep
-			// rebuilds and the test stopped exercising stale buckets.
-			if rebuilds >= 120 {
-				t.Fatalf("epoch grid rebuilt on every timestep (%d rebuilds)", rebuilds)
+					if med.grid.maxSpeed != mcfg.SpeedMax {
+						t.Fatalf("derived bound %g, want SpeedMax %g", med.grid.maxSpeed, mcfg.SpeedMax)
+					}
+					r := rand.New(rand.NewSource(17))
+					now := 0.0
+					rebuilds := 0
+					lastEpoch := -1.0
+					for step := 0; step < 120; step++ {
+						// Small steps relative to side/maxSpeed keep
+						// several probe instants inside each epoch window.
+						now += r.Float64() * 2
+						eng.Run(now)
+						for id := NodeID(0); id < NodeID(tc.nodes); id++ {
+							got := med.Neighbors(id)
+							want := bruteNeighbors(med, id)
+							if !slices.Equal(got, want) {
+								t.Fatalf("t=%g node %d: grid %v != brute force %v",
+									now, id, got, want)
+							}
+						}
+						if med.grid.epoch != lastEpoch {
+							lastEpoch = med.grid.epoch
+							rebuilds++
+						}
+					}
+					// The point of the epoch grid: far fewer rebuilds than
+					// probe timesteps. If this fires, the grid fell back to
+					// per-timestep rebuilds and the test stopped exercising
+					// stale buckets.
+					if rebuilds >= 120 {
+						t.Fatalf("epoch grid rebuilt on every timestep (%d rebuilds)", rebuilds)
+					}
+				})
 			}
 		})
 	}
@@ -92,7 +122,6 @@ func TestEpochGridBoundaryCrossing(t *testing.T) {
 	eng := sim.NewEngine(5)
 	cfg := DefaultConfig()
 	cfg.Range = 100
-	cfg.MaxSpeed = 10
 	med := New(eng, cfg)
 	// Node 0 starts just left of the x=100 cell edge and drifts right at
 	// 1 m/s: it crosses at t=5. The others sit still on both sides.
@@ -114,8 +143,9 @@ func TestEpochGridBoundaryCrossing(t *testing.T) {
 
 // TestEpochGridChurnTeleport is the churn test: every tick, 10% of the
 // nodes teleport to a uniformly random point — motion with no speed bound,
-// which is exactly the case MaxSpeed=0 (unknown) must stay exact for by
-// rebuilding whenever the clock moves.
+// which is exactly the case an undeclared (unknown) bound must stay exact
+// for by rebuilding whenever the clock moves. Half the fleet is static, so
+// the one undeclared model must override every declared bound.
 func TestEpochGridChurnTeleport(t *testing.T) {
 	const (
 		nodes = 200
@@ -125,19 +155,26 @@ func TestEpochGridChurnTeleport(t *testing.T) {
 	eng := sim.NewEngine(9)
 	cfg := DefaultConfig()
 	cfg.Range = 150
-	cfg.MaxSpeed = 0 // unknown motion: teleports allowed
 	med := New(eng, cfg)
 	r := rand.New(rand.NewSource(23))
 	models := make([]*teleportModel, nodes)
 	for i := range models {
-		models[i] = &teleportModel{p: tuple.Point{X: r.Float64() * space, Y: r.Float64() * space}}
+		p := tuple.Point{X: r.Float64() * space, Y: r.Float64() * space}
+		if i%2 == 0 {
+			med.AddNode(mobility.Static(p), func(NodeID, Payload) {})
+			continue
+		}
+		models[i] = &teleportModel{p: p}
 		med.AddNode(models[i], func(NodeID, Payload) {})
+	}
+	if !math.IsInf(med.grid.maxSpeed, 1) {
+		t.Fatalf("derived bound %g, want unknown (+Inf)", med.grid.maxSpeed)
 	}
 	for tick := 1; tick <= ticks; tick++ {
 		// Teleport 10% of the fleet, then advance the clock so the medium
 		// sees the new positions as a fresh timestep.
 		for k := 0; k < nodes/10; k++ {
-			m := models[r.Intn(nodes)]
+			m := models[r.Intn(nodes/2)*2+1]
 			m.p = tuple.Point{X: r.Float64() * space, Y: r.Float64() * space}
 		}
 		eng.Run(float64(tick))
@@ -148,23 +185,28 @@ func TestEpochGridChurnTeleport(t *testing.T) {
 				t.Fatalf("tick %d node %d: grid %v != brute force %v", tick, id, got, want)
 			}
 		}
+		if med.grid.epoch != float64(tick) {
+			t.Fatalf("tick %d: unknown bound kept a stale grid from t=%g", tick, med.grid.epoch)
+		}
 	}
 }
 
-// TestEpochGridStatic checks the static declaration (MaxSpeed < 0): the
+// TestEpochGridStatic checks a field of mobility.Static nodes (bound 0): the
 // grid is built exactly once, and probes at later times still match brute
 // force because static positions never invalidate it.
 func TestEpochGridStatic(t *testing.T) {
 	eng := sim.NewEngine(11)
 	cfg := DefaultConfig()
 	cfg.Range = 120
-	cfg.MaxSpeed = -1
 	med := New(eng, cfg)
 	r := rand.New(rand.NewSource(31))
 	const nodes = 100
 	for i := 0; i < nodes; i++ {
 		med.AddNode(mobility.Static{X: r.Float64() * 1000, Y: r.Float64() * 1000},
 			func(NodeID, Payload) {})
+	}
+	if med.grid.maxSpeed != 0 {
+		t.Fatalf("derived bound %g, want 0 for a static field", med.grid.maxSpeed)
 	}
 	var firstEpoch float64 = math.NaN()
 	for _, now := range []float64{0, 10, 100, 1000, 5000} {

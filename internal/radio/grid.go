@@ -1,6 +1,10 @@
 package radio
 
-import "manetskyline/internal/tuple"
+import (
+	"math"
+
+	"manetskyline/internal/tuple"
+)
 
 // The spatial index is a two-level uniform grid over node positions with
 // cell side equal to the transmission range.
@@ -13,7 +17,8 @@ import "manetskyline/internal/tuple"
 //
 // Unlike the earlier design — which rebuilt the whole index whenever the
 // engine clock moved — the grid is rebuilt on *epochs* and tolerates stale
-// entries in between, using the physical speed bound of the mobility model:
+// entries in between, using the speed bound the nodes' mobility models
+// declare (mobility.SpeedBound):
 //
 //   - Every node's bucket reflects its position at some time t_i in
 //     [epoch, now]: nodes migrate buckets incrementally whenever their
@@ -25,15 +30,16 @@ import "manetskyline/internal/tuple"
 //   - When the expansion exceeds one cell side, the grid rebuilds (O(n),
 //     amortized over the epoch instead of per event).
 //
-// With MaxSpeed unknown (zero), the grid degenerates to the legacy
-// rebuild-on-every-timestep behavior, which is exact for arbitrary motion —
-// including the teleporting churn the tests inject. A negative MaxSpeed
-// declares all nodes static: the grid is built once and never rebuilt.
+// One rebuild rule covers every bound. A static field (bound 0) never
+// drifts, so its first build stays exact forever. An unknown bound (+Inf,
+// some model declares none) rebuilds whenever the clock moves, which is
+// exact for arbitrary motion — including the teleporting churn the tests
+// inject.
 const coarseShift = 3 // coarse block = 8×8 fine cells
 
 type grid struct {
 	side     float64 // fine cell side (= Range)
-	maxSpeed float64 // speed bound: 0 unknown, <0 static, >0 bound in m/s
+	maxSpeed float64 // speed bound in m/s: 0 static, +Inf unknown
 	built    bool
 	overflow bool    // a refresh landed outside the box; rebuild on next probe
 	epoch    float64 // time of the last full rebuild
@@ -77,16 +83,9 @@ func (g *grid) flatIdx(cx, cy int32) int32 {
 func (m *Medium) gridEnsure(now float64) {
 	g := &m.grid
 	rebuild := !g.built || g.overflow || len(m.nodeCell) != len(m.mobs)
-	if !rebuild {
-		switch {
-		case g.maxSpeed == 0: // unknown motion: legacy per-timestep rebuild
-			rebuild = g.epoch != now
-		case g.maxSpeed > 0: // bounded motion: rebuild when drift exceeds a cell
-			rebuild = (now-g.epoch)*g.maxSpeed > g.side
-		}
-		// maxSpeed < 0: static field, the first build stays exact forever.
-	}
-	if rebuild {
+	// Rebuild when drift since the epoch could exceed a cell. The now > epoch
+	// guard keeps 0·Inf out of the product.
+	if rebuild || now > g.epoch && (now-g.epoch)*g.maxSpeed > g.side {
 		m.gridRebuild(now)
 	}
 }
@@ -131,7 +130,7 @@ func (m *Medium) gridRebuild(now float64) {
 	// Margin cells absorb drift between rebuilds so incremental migration
 	// rarely escapes the box (escape just forces an early rebuild).
 	var margin int32
-	if g.maxSpeed > 0 {
+	if g.drifting() {
 		margin = 2
 	}
 	g.minX, g.minY = minX-margin, minY-margin
@@ -163,6 +162,12 @@ func (m *Medium) gridRebuild(now float64) {
 	}
 	g.epoch = now
 	g.built = true
+}
+
+// drifting reports whether nodes move under a finite bound, the one case
+// where entries go stale between rebuilds and migrate incrementally.
+func (g *grid) drifting() bool {
+	return g.maxSpeed > 0 && !math.IsInf(g.maxSpeed, 1)
 }
 
 // coarseIdx maps a fine flat index to its coarse block index.

@@ -13,10 +13,11 @@
 //
 // Spatial queries run on an epoch-rebuilt two-level grid (see grid.go)
 // whose probes are exact: a neighbor query touches only the cells a true
-// neighbor could occupy given the configured speed bound. In-flight frames
-// are free-listed delivery records referenced from compact scheduler
-// events (sim.Kind), so a 50k-receiver flood schedules fixed-size value
-// events instead of materializing closures per hop.
+// neighbor could occupy given the speed bound the nodes' mobility models
+// declare (mobility.SpeedBound). In-flight frames are free-listed delivery
+// records referenced from compact scheduler events (sim.Kind), so a
+// 50k-receiver flood schedules fixed-size value events instead of
+// materializing closures per hop.
 package radio
 
 import (
@@ -82,15 +83,6 @@ type Config struct {
 	// it is just unreliable) — the gray-zone effect real 802.11 radios
 	// exhibit.
 	FadeMargin float64
-	// MaxSpeed declares the fastest any node moves, enabling epoch-based
-	// grid maintenance: 0 (the zero value) means unknown — the grid
-	// rebuilds whenever the clock moves, exact for arbitrary motion
-	// including teleports; > 0 is a bound in m/s — the grid rebuilds only
-	// when accumulated drift could exceed one cell and probes expand their
-	// ring to stay exact; < 0 declares all nodes static — the grid is
-	// built once and never again. Neighbor sets are identical in every
-	// mode; only the maintenance cost differs.
-	MaxSpeed float64
 	// LinkQueue, when positive, switches broadcast delivery to per-link
 	// transmit modeling: each receiver gets its own delivery event gated by
 	// a per-receiver busy horizon, and a frame whose queueing delay at a
@@ -219,7 +211,6 @@ func New(eng *sim.Engine, cfg Config) *Medium {
 		rng: rand.New(rand.NewSource(eng.RNG().Int63())),
 	}
 	m.grid.side = cfg.Range
-	m.grid.maxSpeed = cfg.MaxSpeed
 	m.deliverKind = eng.RegisterKind(m.runDelivery)
 	m.linkKind = eng.RegisterKind(m.runLinkDelivery)
 	return m
@@ -239,6 +230,7 @@ func (m *Medium) AddNode(mob mobility.Model, h Handler) NodeID {
 	m.posX = append(m.posX, 0)
 	m.posY = append(m.posY, 0)
 	m.rxBusy = append(m.rxBusy, 0)
+	m.grid.maxSpeed = max(m.grid.maxSpeed, mobility.SpeedBound(mob))
 	m.grid.built = false
 	return id
 }
@@ -247,14 +239,14 @@ func (m *Medium) AddNode(mob mobility.Model, h Handler) NodeID {
 func (m *Medium) NumNodes() int { return len(m.mobs) }
 
 // posOfIdx returns node i's memoized position at time now, refreshing the
-// memo (and migrating the node's grid cell under a declared speed bound)
+// memo (and migrating the node's grid cell under a finite speed bound)
 // when the clock has moved since the last refresh.
 func (m *Medium) posOfIdx(i int32, now float64) tuple.Point {
 	if m.posAt[i] != now {
 		p := m.mobs[i].Pos(now)
 		m.posX[i], m.posY[i] = p.X, p.Y
 		m.posAt[i] = now
-		if m.grid.built && m.grid.maxSpeed != 0 {
+		if m.grid.built && m.grid.drifting() {
 			m.gridMigrate(i, p.X, p.Y)
 		}
 	}
@@ -293,12 +285,13 @@ func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 	now := m.eng.Now()
 	m.gridEnsure(now)
 	p := m.posOfIdx(int32(id), now)
-	// Under a positive speed bound, grid entries may be up to
-	// maxSpeed·(now−epoch) stale; expanding the probe ring by that much
-	// keeps the result exact (candidates are re-checked at true positions).
+	// Grid entries may be up to maxSpeed·(now−epoch) stale; expanding the
+	// probe ring by that much keeps the result exact (candidates are
+	// re-checked at true positions). gridEnsure leaves epoch == now under
+	// an unknown bound, so the ring never grows infinite.
 	radius := m.cfg.Range
-	if ms := m.grid.maxSpeed; ms > 0 {
-		radius += ms * (now - m.grid.epoch)
+	if now > m.grid.epoch {
+		radius += m.grid.maxSpeed * (now - m.grid.epoch)
 	}
 	cand, full := m.gridGather(p, radius)
 	if full {

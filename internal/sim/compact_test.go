@@ -1,31 +1,33 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestKindScheduling checks that compact events dispatch to their registered
 // handler with their argument words intact, interleaved in (time, FIFO)
-// order with closure and Runner events.
+// order with closure events.
 func TestKindScheduling(t *testing.T) {
 	e := NewEngine(1)
 	type hit struct {
 		a uint32
 		b uint64
 	}
-	var hits []hit
-	k := e.RegisterKind(func(a uint32, b uint64) { hits = append(hits, hit{a, b}) })
+	var order []hit // closures record {0, time}
+	k := e.RegisterKind(func(a uint32, b uint64) { order = append(order, hit{a, b}) })
+	closure := func() { order = append(order, hit{0, uint64(e.Now())}) }
 
-	var order []int
 	e.AtKind(2, k, 7, 1<<40)
-	e.Schedule(1, func() { order = append(order, 1) })
-	e.ScheduleKind(2, k, 9, 42) // same time as the first: FIFO by seq
-	e.ScheduleRunner(3, runnerFunc(func() { order = append(order, 3) }))
+	e.Schedule(1, closure)
+	e.Schedule(2, closure)      // same time as the first kind event: FIFO by seq
+	e.ScheduleKind(2, k, 9, 42) // and after the closure queued before it
+	e.At(3, closure)
 	e.RunAll()
 
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("closure/runner events out of order: %v", order)
-	}
-	if len(hits) != 2 || hits[0] != (hit{7, 1 << 40}) || hits[1] != (hit{9, 42}) {
-		t.Fatalf("kind events wrong: %+v", hits)
+	want := []hit{{0, 1}, {7, 1 << 40}, {0, 2}, {9, 42}, {0, 3}}
+	if !slices.Equal(order, want) {
+		t.Fatalf("events = %+v, want %+v", order, want)
 	}
 }
 

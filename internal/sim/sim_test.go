@@ -158,21 +158,3 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 		t.Errorf("Schedule+Step allocated %.1f objects/op, want 0", allocs)
 	}
 }
-
-// TestRunnerScheduling checks the Runner-based API orders and executes
-// events exactly like the closure API.
-func TestRunnerScheduling(t *testing.T) {
-	e := NewEngine(1)
-	var order []int
-	e.ScheduleRunner(2, runnerFunc(func() { order = append(order, 2) }))
-	e.AtRunner(1, runnerFunc(func() { order = append(order, 1) }))
-	e.Schedule(3, func() { order = append(order, 3) })
-	e.RunAll()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("runner events ran out of order: %v", order)
-	}
-}
-
-type runnerFunc func()
-
-func (f runnerFunc) Run() { f() }

@@ -60,7 +60,7 @@ type peerConn struct {
 func newPeerConn(p *Peer, id core.DeviceID) *peerConn {
 	pc := &peerConn{
 		p: p, id: id,
-		queue: make(chan outFrame, p.cfg.SendQueueLen),
+		queue: make(chan outFrame, sendQueueLen),
 		br:    newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerCooldown),
 	}
 	if p.cfg.Registry != nil {
@@ -124,7 +124,7 @@ func (pc *peerConn) run() {
 			conn.Close()
 		}
 	}()
-	idle := time.NewTimer(p.cfg.IdleConnTimeout)
+	idle := time.NewTimer(idleConnTimeout)
 	defer idle.Stop()
 	for {
 		select {
@@ -137,14 +137,14 @@ func (pc *peerConn) run() {
 				default:
 				}
 			}
-			idle.Reset(p.cfg.IdleConnTimeout)
+			idle.Reset(idleConnTimeout)
 		case <-idle.C:
 			if conn != nil {
 				conn.Close()
 				conn = nil
 				p.met.ConnsReaped.Inc()
 			}
-			idle.Reset(p.cfg.IdleConnTimeout)
+			idle.Reset(idleConnTimeout)
 		case <-p.ctx.Done():
 			pc.drain(conn)
 			return
@@ -159,7 +159,7 @@ func (pc *peerConn) run() {
 // so the waiting query learns immediately instead of idling to deadline.
 func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 	p := pc.p
-	backoff := p.cfg.ReconnectBackoff
+	backoff := reconnectBackoff
 	for attempt := 0; ; attempt++ {
 		if time.Since(f.enq) > p.cfg.RetryTimeout {
 			p.met.DeadLetters.Inc()
@@ -196,8 +196,8 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 					return nil // shutting down
 				}
 				backoff *= 2
-				if backoff > p.cfg.ReconnectBackoffMax {
-					backoff = p.cfg.ReconnectBackoffMax
+				if backoff > reconnectBackoffMax {
+					backoff = reconnectBackoffMax
 				}
 				continue
 			}
@@ -210,7 +210,7 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 				p.flightEvent("reconnect", f.tc, "link to %d re-established after %d attempts", pc.id, attempt)
 			}
 		}
-		conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(p.cfg.DialTimeout))
 		if err := wire.WriteFrameCtx(conn, f.msg, f.tc); err == nil {
 			p.met.MessagesOut.Inc()
 			p.met.BytesOut.Add(frameBytes(f.msg, f.tc != nil))
@@ -290,12 +290,12 @@ func (p *Peer) BreakerStats() []BreakerStat {
 	return out
 }
 
-// drain gives queued frames one best-effort flush within DrainTimeout so a
+// drain gives queued frames one best-effort flush within drainTimeout so a
 // graceful shutdown does not strand results already computed (e.g. replies
 // to a query that arrived just before Close).
 func (pc *peerConn) drain(conn net.Conn) {
 	p := pc.p
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for {
 		select {
 		case f := <-pc.queue:

@@ -214,10 +214,13 @@ func TestTracedBytesLedger(t *testing.T) {
 	if _, err := peers[0].Query(core.Unconstrained(), 2); err != nil {
 		t.Fatal(err)
 	}
-	// Give the reply frame's counters a moment to settle.
+	// Give both ends' counters a moment to settle: the sender bumps Sent
+	// only after its write returns, possibly after the receiver counted
+	// the frame.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if regs[1].Bytes().Layers["tcp"].Received > 0 {
+		sent := regs[0].Bytes().Layers["tcp"].Sent
+		if sent > 0 && sent == regs[1].Bytes().Layers["tcp"].Received {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

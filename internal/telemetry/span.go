@@ -118,13 +118,22 @@ func (s *Span) Duration() float64 {
 	return s.End - s.Start
 }
 
+// Bounds on a SpanLog's memory, so a long-running traced peer does not
+// grow without limit. A full log or span evicts its oldest quarter; a
+// span's aggregate tallies still count every stage it observed.
+const (
+	maxSpans      = 4096 // spans per log
+	maxSpanStages = 1024 // stages per span
+)
+
 // SpanLog collects spans for many queries. All methods are safe on a nil
 // receiver (no-op), so callers instrument unconditionally, and are
 // goroutine-safe for the live runtime.
 type SpanLog struct {
-	mu    sync.Mutex
-	spans map[SpanKey]*Span
-	order []SpanKey
+	mu      sync.Mutex
+	spans   map[SpanKey]*Span
+	order   []SpanKey
+	evicted int64 // spans and stages dropped to stay within the bounds
 }
 
 // NewSpanLog returns an empty span log.
@@ -145,8 +154,44 @@ func (l *SpanLog) Begin(k SpanKey, t float64) {
 	}
 	sp := &Span{Org: k.Org, Cnt: k.Cnt, Start: t}
 	sp.Stages = append(sp.Stages, Stage{T: t, Kind: StageIssue, Device: k.Org})
+	l.add(k, sp)
+}
+
+// add registers a new span, evicting the oldest quarter of the log first
+// when it is full. The caller holds l.mu.
+func (l *SpanLog) add(k SpanKey, sp *Span) {
+	if len(l.order) >= maxSpans {
+		drop := maxSpans / 4
+		for _, old := range l.order[:drop] {
+			delete(l.spans, old)
+		}
+		l.order = append(l.order[:0], l.order[drop:]...)
+		l.evicted += int64(drop)
+	}
 	l.spans[k] = sp
 	l.order = append(l.order, k)
+}
+
+// appendStage adds st to sp's timeline, evicting the oldest quarter of the
+// stages first when the span is full. The caller holds l.mu.
+func (l *SpanLog) appendStage(sp *Span, st Stage) {
+	if len(sp.Stages) >= maxSpanStages {
+		drop := maxSpanStages / 4
+		sp.Stages = append(sp.Stages[:0], sp.Stages[drop:]...)
+		l.evicted += int64(drop)
+	}
+	sp.Stages = append(sp.Stages, st)
+}
+
+// Evictions returns how many spans and stages the log has dropped to stay
+// within its bounds.
+func (l *SpanLog) Evictions() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.evicted
 }
 
 // Observe appends a stage to an open span and folds it into the span's
@@ -161,7 +206,7 @@ func (l *SpanLog) Observe(k SpanKey, st Stage) {
 	if sp == nil {
 		return
 	}
-	sp.Stages = append(sp.Stages, st)
+	l.appendStage(sp, st)
 	switch st.Kind {
 	case StageProcess:
 		sp.Devices++
@@ -190,8 +235,7 @@ func (l *SpanLog) ObserveAuto(k SpanKey, st Stage) {
 	}
 	l.mu.Lock()
 	if l.spans[k] == nil {
-		l.spans[k] = &Span{Org: k.Org, Cnt: k.Cnt, Start: st.T}
-		l.order = append(l.order, k)
+		l.add(k, &Span{Org: k.Org, Cnt: k.Cnt, Start: st.T})
 	}
 	l.mu.Unlock()
 	l.Observe(k, st)
@@ -224,7 +268,7 @@ func (l *SpanLog) Complete(k SpanKey, t float64, resultTuples int) {
 	sp.Done = true
 	sp.End = t
 	sp.ResultTuples = resultTuples
-	sp.Stages = append(sp.Stages, Stage{
+	l.appendStage(sp, Stage{
 		T: t, Kind: StageComplete, Device: k.Org, Tuples: resultTuples,
 	})
 }
@@ -254,13 +298,30 @@ func (l *SpanLog) Len() int {
 	return len(l.order)
 }
 
+// snapshot copies every span and its timeline in Begin order, so exposition
+// can encode while writers keep appending (and evicting) stages.
+func (l *SpanLog) snapshot() []Span {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]Span, 0, len(l.order))
+	for _, k := range l.order {
+		sp := *l.spans[k]
+		sp.Stages = append([]Stage(nil), sp.Stages...)
+		out = append(out, sp)
+	}
+	return out
+}
+
 // WriteJSON dumps every span as an indented JSON array.
 func (l *SpanLog) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	spans := l.Spans()
+	spans := l.snapshot()
 	if spans == nil {
-		spans = []*Span{}
+		spans = []Span{}
 	}
 	return enc.Encode(spans)
 }
@@ -269,8 +330,9 @@ func (l *SpanLog) WriteJSON(w io.Writer) error {
 // wire format cmd/skytrace consumes.
 func (l *SpanLog) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, sp := range l.Spans() {
-		if err := enc.Encode(sp); err != nil {
+	spans := l.snapshot()
+	for i := range spans {
+		if err := enc.Encode(&spans[i]); err != nil {
 			return err
 		}
 	}

@@ -40,6 +40,55 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 }
 
+// TestSpanLogBounded checks both memory bounds: a full span drops its
+// oldest stages but keeps exact tallies, a full log drops its oldest spans,
+// and Evictions counts every dropped entry.
+func TestSpanLogBounded(t *testing.T) {
+	l := NewSpanLog()
+	k := SpanKey{Org: 1}
+	l.Begin(k, 0)
+	const observed = 3 * maxSpanStages
+	for i := 1; i <= observed; i++ {
+		l.Observe(k, Stage{T: float64(i), Kind: StageProcess})
+	}
+	sp := l.Spans()[0]
+	if len(sp.Stages) > maxSpanStages {
+		t.Fatalf("span holds %d stages, cap %d", len(sp.Stages), maxSpanStages)
+	}
+	if last := sp.Stages[len(sp.Stages)-1].T; last != observed {
+		t.Errorf("newest stage t=%g, want %d", last, observed)
+	}
+	if sp.Stages[0].Kind == StageIssue {
+		t.Errorf("oldest stage (issue) survived eviction")
+	}
+	if sp.Devices != observed {
+		t.Errorf("tally Devices = %d, want every observed stage (%d)", sp.Devices, observed)
+	}
+	stageEvictions := l.Evictions()
+	if want := int64(observed + 1 - len(sp.Stages)); stageEvictions != want {
+		t.Errorf("stage evictions = %d, want %d", stageEvictions, want)
+	}
+
+	for i := 1; i <= 2*maxSpans; i++ {
+		l.Begin(SpanKey{Org: 2, Cnt: int32(i)}, float64(i))
+	}
+	spans := l.Spans()
+	if len(spans) > maxSpans || l.Len() != len(spans) {
+		t.Fatalf("log holds %d spans (Len %d), cap %d", len(spans), l.Len(), maxSpans)
+	}
+	if newest := spans[len(spans)-1]; newest.Cnt != 2*maxSpans {
+		t.Errorf("newest span cnt=%d, want %d", newest.Cnt, 2*maxSpans)
+	}
+	for _, sp := range spans {
+		if sp.Org == 1 {
+			t.Fatalf("oldest span survived eviction")
+		}
+	}
+	if want := stageEvictions + int64(2*maxSpans+1-len(spans)); l.Evictions() != want {
+		t.Errorf("evictions = %d, want %d", l.Evictions(), want)
+	}
+}
+
 func TestSpanLogEdgeCases(t *testing.T) {
 	l := NewSpanLog()
 	k := SpanKey{Org: 1, Cnt: 2}
