@@ -10,6 +10,11 @@
 // (internal/manet) send routed unicasts with Send and neighbourhood
 // broadcasts with BroadcastLocal, and receive through the callbacks they
 // register when adding a node.
+//
+// Each node's RREQ duplicate table is bounded: entries live for
+// Config.SeenLifetime, as RFC 3561 §6.3 keeps them for PATH_DISCOVERY_TIME,
+// and expired ones are purged once the table doubles past its live size, so
+// memory tracks the discoveries in flight rather than every flood ever heard.
 package aodv
 
 import (
@@ -120,7 +125,8 @@ func (n *Network) AddNode(mob mobility.Model, onData DataHandler, onLocal LocalH
 	nd := &node{
 		net:     n,
 		routes:  make(map[radio.NodeID]*route),
-		seen:    make(map[seenKey]float64),
+		seen:    make(map[uint64]float64),
+		purgeAt: seenPurgeFloor,
 		pending: make(map[radio.NodeID]*discovery),
 		onData:  onData,
 		onLocal: onLocal,
@@ -230,11 +236,6 @@ type route struct {
 	valid   bool
 }
 
-type seenKey struct {
-	orig radio.NodeID
-	id   uint32
-}
-
 type discovery struct {
 	packets []*dataPkt
 	retries int
@@ -247,7 +248,8 @@ type node struct {
 	seqNo   uint32
 	rreqID  uint32
 	routes  map[radio.NodeID]*route
-	seen    map[seenKey]float64
+	seen    map[uint64]float64 // orig<<32 | rreqID → expiry
+	purgeAt int                // len(seen) that triggers the next purge
 	pending map[radio.NodeID]*discovery
 	onData  DataHandler
 	onLocal LocalHandler
@@ -329,13 +331,36 @@ func (nd *node) receive(from radio.NodeID, p radio.Payload) {
 	}
 }
 
+// seenPurgeFloor is the smallest duplicate-table size that triggers a purge.
+const seenPurgeFloor = 64
+
+// markSeen reports whether the RREQ (orig, id) was already heard within
+// SeenLifetime, and remembers it if not. An expired entry answers exactly
+// like a missing one, so purging them only shrinks the table; the purge
+// runs when the table reaches twice its live size after the previous one,
+// which keeps its cost amortised O(1) per RREQ.
+func (nd *node) markSeen(orig radio.NodeID, id uint32) bool {
+	key := uint64(uint32(orig))<<32 | uint64(id)
+	now := nd.now()
+	if exp, ok := nd.seen[key]; ok && exp > now {
+		return true
+	}
+	if len(nd.seen) >= nd.purgeAt {
+		for k, exp := range nd.seen {
+			if exp <= now {
+				delete(nd.seen, k)
+			}
+		}
+		nd.purgeAt = max(2*len(nd.seen), seenPurgeFloor)
+	}
+	nd.seen[key] = now + nd.net.cfg.SeenLifetime
+	return false
+}
+
 func (nd *node) handleRREQ(from radio.NodeID, q *rreqPkt) {
-	key := seenKey{orig: q.Orig, id: q.ID}
-	if exp, ok := nd.seen[key]; ok && exp > nd.now() {
+	if nd.markSeen(q.Orig, q.ID) {
 		return
 	}
-	nd.seen[key] = nd.now() + nd.net.cfg.SeenLifetime
-
 	if q.Orig == nd.id {
 		return // own flood came back
 	}

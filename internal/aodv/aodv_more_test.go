@@ -122,3 +122,83 @@ func TestTTLBoundsFlood(t *testing.T) {
 		t.Errorf("packet should be dropped after failed discovery")
 	}
 }
+
+// TestSeenTablePurgesExpired pins the bounded RREQ duplicate table: floods
+// spaced wider than SeenLifetime never grow a node's table past the purge
+// floor, a repeat within the lifetime is still dropped, the same RREQ heard
+// after expiry is accepted again, and the steady-state table allocates
+// nothing.
+func TestSeenTablePurgesExpired(t *testing.T) {
+	cfg := DefaultConfig()
+	t.Run("bounded", func(t *testing.T) {
+		// 5×5 static grid, 150 m apart: every flood reaches every node.
+		w := build(t)
+		const side = 5
+		for r := 0; r < side; r++ {
+			for c := 0; c < side; c++ {
+				w.addStatic(tuple.Point{X: float64(c) * 150, Y: float64(r) * 150})
+			}
+		}
+		const floods = 4 * seenPurgeFloor
+		for i := 0; i < floods; i++ {
+			// Routes (15 s) and dedup entries (30 s) have lapsed by the
+			// next send, so each one starts a fresh discovery flood.
+			src := radio.NodeID(i % (side * side))
+			dst := radio.NodeID((i + 7) % (side * side))
+			w.net.Send(src, dst, msg(i))
+			w.eng.RunAll()
+			w.eng.Run(w.eng.Now() + 2*cfg.SeenLifetime)
+			for _, nd := range w.net.nodes {
+				if len(nd.seen) > seenPurgeFloor {
+					t.Fatalf("flood %d: node %d remembers %d RREQs, want <= %d",
+						i, nd.id, len(nd.seen), seenPurgeFloor)
+				}
+			}
+		}
+		if w.net.Counters.DataDelivered != floods || w.net.Counters.RREQSent < floods {
+			t.Fatalf("floods did not happen: %+v", w.net.Counters)
+		}
+	})
+	t.Run("lifetime", func(t *testing.T) {
+		// Isolated nodes: node 1's rebroadcasts reach nobody, so RREQSent
+		// counts exactly the RREQs node 1 accepted.
+		w := build(t, tuple.Point{X: 0}, tuple.Point{X: 5000}, tuple.Point{X: 10000})
+		nd := w.net.nodes[1]
+		q := &rreqPkt{Orig: 0, ID: 7, Dst: 2}
+		hear := func(at float64) int {
+			w.eng.Run(at)
+			nd.receive(0, q)
+			return w.net.Counters.RREQSent
+		}
+		if got := hear(0); got != 1 {
+			t.Fatalf("first RREQ: %d rebroadcasts, want 1", got)
+		}
+		if got := hear(cfg.SeenLifetime / 2); got != 1 {
+			t.Fatalf("duplicate within the lifetime was rebroadcast (%d)", got)
+		}
+		if got := hear(cfg.SeenLifetime + 1); got != 2 {
+			t.Fatalf("RREQ heard after expiry: %d rebroadcasts, want 2", got)
+		}
+		if got := hear(cfg.SeenLifetime + 2); got != 2 {
+			t.Fatalf("duplicate of the re-accepted RREQ was rebroadcast (%d)", got)
+		}
+	})
+	t.Run("zero allocs", func(t *testing.T) {
+		w := build(t, tuple.Point{})
+		nd := w.net.nodes[0]
+		id := uint32(0)
+		steps := func() {
+			for i := 0; i < 10000; i++ {
+				id++
+				w.eng.Run(w.eng.Now() + cfg.SeenLifetime/8)
+				nd.markSeen(1, id)
+			}
+		}
+		steps() // warm up: the table reaches its steady capacity
+		// AllocsPerRun calls steps once more to warm up, then measures one
+		// call: every one of its 10k insertions and purges must reuse slots.
+		if allocs := testing.AllocsPerRun(1, steps); allocs != 0 {
+			t.Fatalf("steady-state duplicate table allocated %.0f objects over 10k RREQs", allocs)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 
 	"manetskyline/internal/mobility"
 	"manetskyline/internal/sim"
+	"manetskyline/internal/telemetry"
 	"manetskyline/internal/tuple"
 )
 
@@ -223,5 +224,97 @@ func TestEpochGridStatic(t *testing.T) {
 		} else if med.grid.epoch != firstEpoch {
 			t.Fatalf("static grid rebuilt: epoch %g -> %g", firstEpoch, med.grid.epoch)
 		}
+	}
+}
+
+// TestFullScanAtPaperGeometry checks that the direct ID-order scan is the
+// common path at the paper's geometry (100 random-waypoint devices in the
+// 1 km² field, 380 m range): the probe ring reaches every occupied cell far
+// more often than it reaches the empty margin cells around them. Every
+// probe must still match brute force.
+func TestFullScanAtPaperGeometry(t *testing.T) {
+	const nodes = 100
+	mcfg := mobility.DefaultConfig()
+	eng := sim.NewEngine(3)
+	med := New(eng, DefaultConfig())
+	med.SetMetrics(NewMetrics(telemetry.NewRegistry()))
+	for i := 0; i < nodes; i++ {
+		med.AddNode(mobility.NewWaypoint(mcfg, int64(i+1)), func(NodeID, Payload) {})
+	}
+	if med.Config().Range != 380 || med.grid.maxSpeed != mcfg.SpeedMax {
+		t.Fatalf("geometry drifted: range %g, bound %g", med.Config().Range, med.grid.maxSpeed)
+	}
+	r := rand.New(rand.NewSource(29))
+	now, probes, full := 0.0, 0, 0
+	for step := 0; step < 200; step++ {
+		now += r.Float64() * 2
+		eng.Run(now)
+		for id := NodeID(0); id < nodes; id++ {
+			before := med.met.NeighborScanned.Value()
+			got := med.Neighbors(id)
+			if med.met.NeighborScanned.Value()-before == nodes-1 {
+				full++
+			}
+			probes++
+			if want := bruteNeighbors(med, id); !slices.Equal(got, want) {
+				t.Fatalf("t=%g node %d: grid %v != brute force %v", now, id, got, want)
+			}
+		}
+	}
+	t.Logf("%d of %d probes took the full scan", full, probes)
+	if 2*full <= probes {
+		t.Fatalf("only %d of %d probes took the full scan", full, probes)
+	}
+}
+
+// TestEpochGridMigrateIntoMargin moves nodes into a margin cell, outside the
+// occupied box the last rebuild set: probes must still match brute force,
+// the occupied box must widen to the new cell without a rebuild, and a probe
+// that no longer covers it must gather instead of scanning everything.
+func TestEpochGridMigrateIntoMargin(t *testing.T) {
+	eng := sim.NewEngine(13)
+	cfg := DefaultConfig()
+	cfg.Range = 100
+	med := New(eng, cfg)
+	med.SetMetrics(NewMetrics(telemetry.NewRegistry()))
+	// At the first rebuild every node sits in cell column 0 or 1. Nodes 1
+	// and 3 drift right at 1 m/s into column 2, a margin cell, at t=10 and
+	// t=5.
+	med.AddNode(linearModel{x0: 50, y0: 50}, func(NodeID, Payload) {})
+	med.AddNode(linearModel{x0: 190, y0: 50, vx: 1}, func(NodeID, Payload) {})
+	med.AddNode(linearModel{x0: 120, y0: 50}, func(NodeID, Payload) {})
+	med.AddNode(linearModel{x0: 195, y0: 60, vx: 1}, func(NodeID, Payload) {})
+	check := func(now float64) {
+		t.Helper()
+		eng.Run(now)
+		for id := NodeID(0); id < 4; id++ {
+			got := med.Neighbors(id)
+			want := bruteNeighbors(med, id)
+			if !slices.Equal(got, want) {
+				t.Fatalf("t=%g node %d: grid %v != brute force %v", now, id, got, want)
+			}
+		}
+	}
+	check(0)
+	g := &med.grid
+	col2 := 2 - g.minX // local column of cell column 2
+	if g.occX1 != col2-1 {
+		t.Fatalf("rebuild set occupied columns up to %d, want %d", g.occX1, col2-1)
+	}
+	for _, now := range []float64{4.5, 5, 5.5, 9.5, 10, 10.5, 15} {
+		check(now)
+	}
+	if g.epoch != 0 || g.overflow {
+		t.Fatalf("migration inside the box rebuilt the grid (epoch %g, overflow %v)", g.epoch, g.overflow)
+	}
+	if g.occX1 != col2 {
+		t.Fatalf("occupied box ends at column %d after migration, want %d", g.occX1, col2)
+	}
+	// Node 0's ring (100 m + 15 m of drift) stops at column 1, so the probe
+	// gathers the two nodes left there instead of scanning all three others.
+	before := med.met.NeighborScanned.Value()
+	med.Neighbors(0)
+	if got := med.met.NeighborScanned.Value() - before; got != 2 {
+		t.Fatalf("probe not covering the widened box scanned %d nodes, want 2", got)
 	}
 }

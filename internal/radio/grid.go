@@ -10,8 +10,9 @@ import (
 // cell side equal to the transmission range.
 //
 // Fine level: a dense array of ID-sorted node buckets over the occupied
-// cell bounding box (node fields are bounded, so the box stays small and
-// avoids hashing). Coarse level: 8×8 blocks of fine cells with occupancy
+// cell bounding box, padded under a finite speed bound by empty margin
+// cells that absorb drift (node fields are bounded, so the box stays small
+// and avoids hashing). Coarse level: 8×8 blocks of fine cells with occupancy
 // counts, so probes over large rings skip empty regions in one comparison
 // per block instead of touching 64 empty buckets.
 //
@@ -29,6 +30,12 @@ import (
 //     stays *exact*, never approximate.
 //   - When the expansion exceeds one cell side, the grid rebuilds (O(n),
 //     amortized over the epoch instead of per event).
+//
+// A probe is "full" when it covers every occupied cell, not the padded
+// box: the grid tracks the bounding box of the cells that have held a node
+// since the last rebuild, and a full probe scans every node in ID order
+// instead of gathering and sorting. That scan checks true positions, so it
+// is exact under any condition; the box only picks the cheaper path.
 //
 // One rebuild rule covers every bound. A static field (bound 0) never
 // drifts, so its first build stays exact forever. An unknown bound (+Inf,
@@ -49,6 +56,10 @@ type grid struct {
 	cw         int32 // coarse grid columns
 	cells      [][]int32
 	coarse     []int32
+
+	// Occupied cell bounding box in local coordinates, inclusive: set by a
+	// rebuild, widened by migration, never shrunk between rebuilds.
+	occX0, occY0, occX1, occY1 int32
 }
 
 // cellCoord maps a position to fine-cell coordinates.
@@ -136,6 +147,8 @@ func (m *Medium) gridRebuild(now float64) {
 	g.minX, g.minY = minX-margin, minY-margin
 	g.w = maxX - minX + 1 + 2*margin
 	g.h = maxY - minY + 1 + 2*margin
+	g.occX0, g.occY0 = margin, margin
+	g.occX1, g.occY1 = g.w-1-margin, g.h-1-margin
 	size := int(g.w) * int(g.h)
 	for len(g.cells) < size {
 		g.cells = append(g.cells, nil)
@@ -224,14 +237,17 @@ func (m *Medium) gridMigrate(i int32, x, y float64) {
 	g.cells[idx] = nb
 	g.coarse[g.coarseIdx(idx)]++
 	m.nodeCell[i] = idx
+	lx, ly := cx-g.minX, cy-g.minY
+	g.occX0, g.occX1 = min(g.occX0, lx), max(g.occX1, lx)
+	g.occY0, g.occY1 = min(g.occY0, ly), max(g.occY1, ly)
 }
 
 // gridGather collects the node indices of every bucket intersecting the
 // disk of the given radius around p into m.scratch, or reports full=true
-// when the probe covers the whole occupied box (the caller then scans all
-// nodes directly, in ID order, with no gather or re-sort). Coarse blocks
-// with zero occupancy are skipped wholesale, and fine cells entirely
-// outside the disk are pruned by rectangle distance.
+// when the probe's cell rectangle contains every occupied cell (the caller
+// then scans all nodes directly, in ID order, with no gather or re-sort).
+// Coarse blocks with zero occupancy are skipped wholesale, and fine cells
+// entirely outside the disk are pruned by rectangle distance.
 func (m *Medium) gridGather(p tuple.Point, radius float64) (cand []int32, full bool) {
 	g := &m.grid
 	cx0, cy0 := g.cellCoord(p.X-radius, p.Y-radius)
@@ -250,7 +266,7 @@ func (m *Medium) gridGather(p tuple.Point, radius float64) (cand []int32, full b
 	if by1 >= g.h {
 		by1 = g.h - 1
 	}
-	if bx0 == 0 && by0 == 0 && bx1 == g.w-1 && by1 == g.h-1 {
+	if bx0 <= g.occX0 && by0 <= g.occY0 && bx1 >= g.occX1 && by1 >= g.occY1 {
 		return nil, true
 	}
 	cand = m.scratch[:0]

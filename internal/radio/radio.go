@@ -278,7 +278,8 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 // are probed (see grid.go for the staleness ring). When the probe covers
 // every occupied cell — the norm at the paper's geometry, where Range is a
 // large fraction of the field — it degenerates to a direct scan over the
-// memoized positions, with no gather or re-sort.
+// memoized positions, with no gather or re-sort. Empty margin cells around
+// the occupied ones do not count.
 func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 	buf = buf[:0]
 	m.met.NeighborQueries.Inc()

@@ -211,10 +211,11 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 			}
 		}
 		conn.SetWriteDeadline(time.Now().Add(p.cfg.DialTimeout))
+		sent := p.traceClock(f.tc)
 		if err := wire.WriteFrameCtx(conn, f.msg, f.tc); err == nil {
 			p.met.MessagesOut.Inc()
 			p.met.BytesOut.Add(frameBytes(f.msg, f.tc != nil))
-			p.traceStage(f.tc, telemetry.StageWrite, pc.id, wire.FrameWireSize(len(f.msg), f.tc != nil))
+			p.traceStageAt(sent, f.tc, telemetry.StageWrite, pc.id, wire.FrameWireSize(len(f.msg), f.tc != nil))
 			pc.br.success()
 			pc.setBreakerGauge()
 			return conn
@@ -309,6 +310,7 @@ func (pc *peerConn) drain(conn net.Conn) {
 				conn = c
 			}
 			conn.SetWriteDeadline(deadline)
+			sent := p.traceClock(f.tc)
 			if err := wire.WriteFrameCtx(conn, f.msg, f.tc); err != nil {
 				conn.Close()
 				conn = nil
@@ -318,7 +320,7 @@ func (pc *peerConn) drain(conn net.Conn) {
 			}
 			p.met.MessagesOut.Inc()
 			p.met.BytesOut.Add(frameBytes(f.msg, f.tc != nil))
-			p.traceStage(f.tc, telemetry.StageWrite, pc.id, wire.FrameWireSize(len(f.msg), f.tc != nil))
+			p.traceStageAt(sent, f.tc, telemetry.StageWrite, pc.id, wire.FrameWireSize(len(f.msg), f.tc != nil))
 		default:
 			if conn != nil {
 				conn.Close()

@@ -54,11 +54,28 @@ func (p *Peer) traceCtx(k core.QueryKey, hop uint8) *wire.TraceContext {
 // The span is auto-opened on peers that did not originate the query. No-op
 // (and allocation-free) when tracing is disabled or the frame is untraced.
 func (p *Peer) traceStage(tc *wire.TraceContext, kind string, peer core.DeviceID, bytes int) {
+	p.traceStageAt(p.traceClock(tc), tc, kind, peer, bytes)
+}
+
+// traceClock reads the clock for a stage of tc, or returns 0 without
+// reading it when the stage will not be recorded.
+func (p *Peer) traceClock(tc *wire.TraceContext) float64 {
+	if p.cfg.Spans == nil || tc == nil {
+		return 0
+	}
+	return nowSecs()
+}
+
+// traceStageAt is traceStage for a stage that began at time t. Writes are
+// stamped when they start: the receiver can decode a frame before the
+// writing goroutine returns from Write, and a stamp taken afterwards would
+// make the hop's latency negative.
+func (p *Peer) traceStageAt(t float64, tc *wire.TraceContext, kind string, peer core.DeviceID, bytes int) {
 	if p.cfg.Spans == nil || tc == nil {
 		return
 	}
 	p.cfg.Spans.ObserveAuto(ctxSpanKey(tc), telemetry.Stage{
-		T: nowSecs(), Kind: kind, Device: int32(p.dev.ID),
+		T: t, Kind: kind, Device: int32(p.dev.ID),
 		Peer: int32(peer), Hops: int(tc.Hop), Bytes: bytes,
 	})
 }
