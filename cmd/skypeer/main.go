@@ -256,7 +256,7 @@ func run() error {
 		}
 		total = len(all)
 	}
-	res, err := peer.Query(*query, total)
+	res, err := peer.Query(peer.Pos(), *query, total)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func main() {
 	// The centre peer asks: best (cheap AND well-rated) sites within 400 m.
 	me := peers[4]
 	fmt.Printf("\npeer %d querying within 400 m of %v ...\n", me.ID(), me.Pos())
-	res, err := me.Query(400, len(peers))
+	res, err := me.Query(me.Pos(), 400, len(peers))
 	if err != nil {
 		panic(err)
 	}

@@ -61,7 +61,7 @@ func main() {
 		Originate(me.Pos(), walkingDistance)
 	fmt.Printf("my own data only: %d candidate restaurants\n", len(local.Skyline))
 
-	res, err := me.Query(walkingDistance, len(peers))
+	res, err := me.Query(me.Pos(), walkingDistance, len(peers))
 	if err != nil {
 		panic(err)
 	}

@@ -55,7 +55,7 @@ func TestProxyPartitionStallsAndHeals(t *testing.T) {
 	p0, _, data, done := twoPeers(t, plan, Options{}, tcp.DefaultConfig())
 	defer done()
 
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestProxyLossyLinkDropsFrames(t *testing.T) {
 	p0, _, _, done := twoPeers(t, plan, Options{}, cfg)
 	defer done()
 
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestProxyResetChurnStillCompletes(t *testing.T) {
 	defer done()
 
 	for i := 0; i < 3; i++ {
-		res, err := p0.Query(core.Unconstrained(), 2)
+		res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -137,7 +137,7 @@ func TestProxyTrickleDelivery(t *testing.T) {
 	p0, _, data, done := twoPeers(t, &faults.Plan{}, opts, tcp.DefaultConfig())
 	defer done()
 
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

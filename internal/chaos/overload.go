@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -207,28 +206,22 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		return nil, fmt.Errorf("chaos: plan crashes every node; no stable entry peer")
 	}
 
-	backend := func(req gateway.Request) (tcp.QueryResult, error) {
+	// The entry peer never crashes; the quorum follows the live fleet.
+	net.mu.Lock()
+	entryPeer := net.peers[entry]
+	net.mu.Unlock()
+	alive := func() int {
 		net.mu.Lock()
-		p := net.peers[entry]
-		alive := 0
-		for i := 0; i < n; i++ {
-			if net.alive[i] {
-				alive++
+		defer net.mu.Unlock()
+		k := 0
+		for _, a := range net.alive {
+			if a {
+				k++
 			}
 		}
-		net.mu.Unlock()
-		if p == nil {
-			return tcp.QueryResult{}, fmt.Errorf("chaos: entry peer down")
-		}
-		qd := req.D
-		if qd <= 0 {
-			qd = math.Inf(1)
-		}
-		if cfg.SF {
-			return p.QuerySF(qd, alive)
-		}
-		return p.Query(qd, alive)
+		return k
 	}
+	backend := gateway.PeerBackend(entryPeer, alive, n)
 	g, err := gateway.New(backend, cfg.Gateway)
 	if err != nil {
 		return nil, err
@@ -236,8 +229,8 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	defer g.Close()
 
 	// Query regions: distinct gateway cache/coalescing cells spread over
-	// the field (the entry peer's own position anchors the MANET flood
-	// either way, so regions only diversify the front-tier keys).
+	// the field. Each query runs around its region's position, originated
+	// at the entry peer.
 	regions := make([]tuple.Point, cfg.Regions)
 	for i := range regions {
 		regions[i] = tuple.Point{X: float64(i) * 4 * 250, Y: 0}
@@ -272,7 +265,6 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 				}
 			}
 		}
-		entryPos := positions[entry]
 		net.mu.Unlock()
 
 		req := gateway.Request{
@@ -302,7 +294,7 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 				case gateway.SourceCache:
 					res.Cached++
 				}
-				truth := skyline.Constrained(union, entryPos, d)
+				truth := skyline.Constrained(union, req.Pos, d)
 				bysite := make(map[[2]float64]tuple.Tuple, len(truth))
 				for _, tt := range truth {
 					bysite[[2]float64{tt.X, tt.Y}] = tt

@@ -292,9 +292,9 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 			var qr tcp.QueryResult
 			var err error
 			if cfg.SF {
-				qr, err = p.QuerySF(d, aliveCount)
+				qr, err = p.QuerySF(p.Pos(), d, aliveCount)
 			} else {
-				qr, err = p.Query(d, aliveCount)
+				qr, err = p.Query(p.Pos(), d, aliveCount)
 			}
 			truth := skyline.Constrained(union, p.Pos(), d)
 			out := QueryOutcome{

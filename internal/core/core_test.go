@@ -61,24 +61,20 @@ func TestVDRBoundsModes(t *testing.T) {
 	data := []tuple.Tuple{tp(0, 0, 100, 200), tp(1, 1, 300, 50)}
 	rel := storage.NewHybrid(data)
 
-	ext := VDRBounds(Exact, schema, rel, 0)
+	ext := VDRBounds(Exact, schema, rel)
 	if ext[0] != 1000 || ext[1] != 1000 {
 		t.Errorf("Exact bounds = %v", ext)
 	}
-	ove := VDRBounds(Over, schema, rel, 0)
+	ove := VDRBounds(Over, schema, rel)
 	if ove[0] <= 1000 || ove[1] <= 1000 {
 		t.Errorf("Over bounds must exceed global bounds: %v", ove)
 	}
-	ove3 := VDRBounds(Over, schema, rel, 3)
-	if ove3[0] != 3000 {
-		t.Errorf("Over factor 3 bounds = %v", ove3)
-	}
-	une := VDRBounds(Under, schema, rel, 0)
+	une := VDRBounds(Under, schema, rel)
 	if une[0] != 300 || une[1] != 200 {
 		t.Errorf("Under bounds should be local maxima: %v", une)
 	}
 	// Empty relation falls back to the schema bounds.
-	empty := VDRBounds(Under, schema, storage.NewHybrid(nil), 0)
+	empty := VDRBounds(Under, schema, storage.NewHybrid(nil))
 	if empty[0] != 1000 {
 		t.Errorf("Under with empty relation = %v", empty)
 	}
@@ -90,7 +86,7 @@ func TestVDRBoundsUnknownModePanics(t *testing.T) {
 			t.Errorf("unknown mode should panic")
 		}
 	}()
-	VDRBounds(Estimation(9), tuple.NewSchema(1, 0, 1), nil, 0)
+	VDRBounds(Estimation(9), tuple.NewSchema(1, 0, 1), nil)
 }
 
 func TestEstimationString(t *testing.T) {
@@ -547,5 +543,34 @@ func TestQueryNumFilters(t *testing.T) {
 	q.Extra = []tuple.Tuple{tp(1, 1, 2, 2), tp(2, 2, 3, 3)}
 	if q.NumFilters() != 3 {
 		t.Errorf("NumFilters = %d, want 3", q.NumFilters())
+	}
+}
+
+func TestCollectorCountsEachSenderOnce(t *testing.T) {
+	for _, c := range []struct {
+		quorum float64
+		others int
+		want   int
+	}{{0.8, 24, 20}, {0.8, 8, 7}, {1, 8, 8}, {0.5, 1, 1}, {1, 0, 0}, {1, -1, 0}} {
+		if got := QuorumSize(c.quorum, c.others); got != c.want {
+			t.Errorf("QuorumSize(%g, %d) = %d, want %d", c.quorum, c.others, got, c.want)
+		}
+	}
+	col := NewCollector([]tuple.Tuple{tp(0, 0, 5, 5)}, 1, 2)
+	col.Absorb([]tuple.Tuple{tp(1, 1, 4, 6)}) // a sample: merged, not counted
+	if col.Results() != 0 || len(col.Merged()) != 2 {
+		t.Fatalf("after Absorb: %d results, %d tuples", col.Results(), len(col.Merged()))
+	}
+	if !col.Add(1, []tuple.Tuple{tp(2, 2, 1, 1)}) || col.Complete() {
+		t.Fatalf("first reply from 1: want counted, query still open")
+	}
+	if col.Add(1, []tuple.Tuple{tp(3, 3, 0, 0)}) {
+		t.Fatalf("duplicate reply from 1 was counted")
+	}
+	if m := col.Merged(); col.Results() != 1 || col.Complete() || len(m) != 1 || m[0].X != 2 {
+		t.Fatalf("after duplicate: %d results, complete=%v, merged %v", col.Results(), col.Complete(), m)
+	}
+	if !col.Add(2, nil) || !col.Complete() {
+		t.Fatalf("distinct second reply should complete the quorum")
 	}
 }

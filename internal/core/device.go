@@ -23,8 +23,6 @@ type Device struct {
 	Schema tuple.Schema
 	// Mode selects the dominating-region estimation (§3.3).
 	Mode Estimation
-	// OverFactor scales global bounds for Over estimation (0 ⇒ default).
-	OverFactor float64
 	// Dynamic enables the hop-by-hop filter update of §3.4 ("DF" in the
 	// figures); when false the originator's filter is used unchanged
 	// ("SF").
@@ -54,7 +52,7 @@ func NewDevice(id DeviceID, ts []tuple.Tuple, schema tuple.Schema, mode Estimati
 // VDRFunc returns the device's tuple-scoring function under its estimation
 // mode and local knowledge.
 func (d *Device) VDRFunc() localsky.VDRFunc {
-	return VDRFunc(d.Mode, d.Schema, d.Rel, d.OverFactor)
+	return VDRFunc(d.Mode, d.Schema, d.Rel)
 }
 
 // NewQuery mints a fresh query originating at this device, incrementing the
@@ -78,8 +76,8 @@ func (d *Device) Originate(pos tuple.Point, dist float64) (Query, localsky.Resul
 	localsky.PutScratch(sc)
 	q = q.WithFilter(res.Filter, res.FilterVDR)
 	if d.NumFilters > 1 && len(res.Skyline) > 1 {
-		hi := VDRBounds(d.Mode, d.Schema, d.Rel, d.OverFactor)
-		filters := SelectFilters(res.Skyline, hi, d.NumFilters, 0, int64(q.Cnt)+int64(d.ID)<<8)
+		hi := VDRBounds(d.Mode, d.Schema, d.Rel)
+		filters := SelectFilters(res.Skyline, hi, d.NumFilters, 0, FilterSeed(q.Key()))
 		// filters[0] is the max-VDR tuple, already the primary.
 		if len(filters) > 1 {
 			q.Extra = filters[1:]

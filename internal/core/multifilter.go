@@ -51,6 +51,33 @@ next:
 	return out
 }
 
+// SF strategy defaults shared by every runtime: each device volunteers
+// SampleK local-skyline tuples in the sampling round, and the originator
+// broadcasts a FilterK-tuple filter set in the collect phase. Both are
+// deliberately small: every extra filter rides the full flood while its
+// marginal pruning gain fades fast.
+const (
+	SampleK = 2
+	FilterK = 2
+)
+
+// FilterSeed derives the per-query seed of greedy filter-set selection
+// from the query key, so the multi-filter extension and the SF strategy
+// pick the same filters for the same query in every runtime.
+func FilterSeed(key QueryKey) int64 {
+	return int64(key.Cnt) + int64(key.Org)<<8
+}
+
+// SelectFilterSet is the SF originator's filter choice: up to k tuples
+// from the pool it collected in the sampling round, picked by greedy
+// dominating-region coverage under the device's estimation bounds and
+// quantized to the 16-bit codes the filter flood ships, so every device
+// prunes against exactly what travelled.
+func (d *Device) SelectFilterSet(pool []tuple.Tuple, key QueryKey, k int) []tuple.Tuple {
+	hi := VDRBounds(d.Mode, d.Schema, d.Rel)
+	return QuantizeFilters(skyline.SelectFilterSet(pool, hi, k, 0, FilterSeed(key)), d.Schema)
+}
+
 // SampleSeed derives the deterministic per-device sampling seed of the SF
 // strategy: every runtime (simulator, live peers) must draw the same sample
 // for the same (query, device) pair so traces and results are reproducible.

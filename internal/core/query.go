@@ -7,8 +7,11 @@
 // filter update of §3.4, the per-device duplicate-query log (§3.4), result
 // assembly with duplicate elimination (§4.3), the data-reduction-rate
 // accounting of Formula 1, and the static-grid executor used for the
-// pre-tests of §5.2.2-I. The MANET simulator (internal/manet) and the live
-// TCP peers (internal/tcp) both drive their devices through this package.
+// pre-tests of §5.2.2-I. It also owns the originator's decisions every
+// runtime shares: quorum collection (Collector) and the SF strategy's seed,
+// bare query and filter-set selection. The MANET simulator (internal/manet)
+// and the live TCP peers (internal/tcp) both drive their devices through
+// this package and add only transport, timing and telemetry.
 package core
 
 import (
@@ -68,6 +71,14 @@ func (q Query) Key() QueryKey { return QueryKey{Org: q.Org, Cnt: q.Cnt} }
 func (q Query) WithFilter(flt *tuple.Tuple, vdr float64) Query {
 	q.Filter = flt
 	q.FilterVDR = vdr
+	return q
+}
+
+// Bare returns a copy of q without filtering tuples. SF floods carry none:
+// every device computes its full local skyline, which the collect phase
+// prunes against the stronger sampled filter set.
+func (q Query) Bare() Query {
+	q.Filter, q.FilterVDR, q.Extra = nil, 0, nil
 	return q
 }
 

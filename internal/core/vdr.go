@@ -61,20 +61,17 @@ func VDR(t tuple.Tuple, hi []float64) float64 {
 
 // VDRBounds returns the upper bounds a device should use under the given
 // estimation mode. schema carries the global bounds (consulted only for
-// Exact and Over); rel supplies the local maxima for Under; overFactor > 1
-// scales the global bounds for Over (DefaultOverFactor when zero).
-func VDRBounds(mode Estimation, schema tuple.Schema, rel storage.Relation, overFactor float64) []float64 {
+// Exact and Over, which scales them by DefaultOverFactor); rel supplies the
+// local maxima for Under.
+func VDRBounds(mode Estimation, schema tuple.Schema, rel storage.Relation) []float64 {
 	dim := schema.Dim()
 	hi := make([]float64, dim)
 	switch mode {
 	case Exact:
 		copy(hi, schema.Max)
 	case Over:
-		if overFactor <= 1 {
-			overFactor = DefaultOverFactor
-		}
 		for k := range hi {
-			hi[k] = schema.Max[k] * overFactor
+			hi[k] = schema.Max[k] * DefaultOverFactor
 			if hi[k] <= schema.Max[k] { // non-positive bound: still exceed it
 				hi[k] = schema.Max[k] + 1
 			}
@@ -94,8 +91,8 @@ func VDRBounds(mode Estimation, schema tuple.Schema, rel storage.Relation, overF
 }
 
 // VDRFunc builds the localsky scoring function for the given mode.
-func VDRFunc(mode Estimation, schema tuple.Schema, rel storage.Relation, overFactor float64) localsky.VDRFunc {
-	hi := VDRBounds(mode, schema, rel, overFactor)
+func VDRFunc(mode Estimation, schema tuple.Schema, rel storage.Relation) localsky.VDRFunc {
+	hi := VDRBounds(mode, schema, rel)
 	return func(t tuple.Tuple) float64 { return VDR(t, hi) }
 }
 

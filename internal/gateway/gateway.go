@@ -121,7 +121,8 @@ type Response struct {
 // Backend executes one admitted query against the MANET.
 type Backend func(req Request) (tcp.QueryResult, error)
 
-// PeerBackend adapts a live tcp.Peer. peers returns the network size the
+// PeerBackend adapts a live tcp.Peer: the query runs around the request's
+// position, originated at p. peers returns the network size the
 // quorum is computed against, sampled per query so a shrinking fleet
 // (crashed peers whose leases decayed) lowers the quorum instead of making
 // queries wait for the dead; a nil func or non-positive count falls back
@@ -141,9 +142,9 @@ func PeerBackend(p *tcp.Peer, peers func() int, fallback int) Backend {
 			d = math.Inf(1)
 		}
 		if req.Strategy == SF {
-			return p.QuerySF(d, count())
+			return p.QuerySF(req.Pos, d, count())
 		}
-		return p.Query(d, count())
+		return p.Query(req.Pos, d, count())
 	}
 }
 

@@ -2,6 +2,9 @@ package manet
 
 import (
 	"testing"
+
+	"manetskyline/internal/faults"
+	"manetskyline/internal/telemetry"
 )
 
 // Lossy-radio scenarios: the protocol must stay live (no panics, queries
@@ -166,5 +169,59 @@ func TestAllDimensionalities(t *testing.T) {
 		if out.CompletionRate() == 0 {
 			t.Errorf("dim=%d: no queries completed", dim)
 		}
+	}
+}
+
+// TestDuplicatedRepliesCountOnce pins the originator's quorum to distinct
+// devices: with every frame duplicated, a query may neither report more
+// answering devices than exist nor complete before every other device's
+// reply arrived (BFQuorum 1.0).
+func TestDuplicatedRepliesCountOnce(t *testing.T) {
+	for _, strategy := range []Forwarding{BreadthFirst, SamplingFilter} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			p := DefaultParams()
+			p.Grid = 3
+			p.GlobalN = 9000
+			p.Static = true
+			p.Radio.Range = 2000
+			p.BFQuorum = 1.0
+			p.Strategy = strategy
+			p.MinQueries, p.MaxQueries = 1, 1
+			p.Seed = 5
+			p.Faults = &faults.Plan{Name: "duplicate-all", Duplicate: []faults.Chaos{{
+				Window: faults.Window{Start: 0, End: p.SimTime}, Prob: 1, MaxExtra: 2,
+			}}}
+			p.Spans = telemetry.NewSpanLog()
+			out := Run(p)
+			if out.Faults.Duplicated == 0 {
+				t.Fatal("no frame was duplicated")
+			}
+			others := p.NumDevices() - 1
+			done := 0
+			for _, q := range out.Queries {
+				if q.Results > others {
+					t.Errorf("query (%d,%d): Results = %d > %d devices", q.Key.Org, q.Key.Cnt, q.Results, others)
+				}
+			}
+			for _, sp := range out.Spans {
+				if !sp.Done {
+					continue
+				}
+				done++
+				answered := map[int32]bool{}
+				for _, st := range sp.Stages {
+					if st.Kind == telemetry.StageResult && st.T <= sp.End {
+						answered[st.Device] = true
+					}
+				}
+				if len(answered) < others {
+					t.Errorf("query (%d,%d) completed at %.3f with %d of %d devices answered",
+						sp.Org, sp.Cnt, sp.End, len(answered), others)
+				}
+			}
+			if done == 0 {
+				t.Fatal("no query completed")
+			}
+		})
 	}
 }

@@ -10,6 +10,14 @@ import (
 // the constant factor only scales transfer delays uniformly).
 func tupleBytes(dim int) int { return 16 + 8*dim }
 
+// tuplesBytes is the wire size of a tuple list.
+func tuplesBytes(ts []tuple.Tuple) int {
+	if len(ts) == 0 {
+		return 0
+	}
+	return len(ts) * tupleBytes(ts[0].Dim())
+}
+
 // querySize is the wire size of a query specification: id, cnt, position,
 // and distance, plus every filtering tuple it carries.
 func querySize(q core.Query) int {
@@ -17,10 +25,7 @@ func querySize(q core.Query) int {
 	if q.Filter != nil {
 		s += tupleBytes(q.Filter.Dim()) + 8 // tuple + carried VDR score
 	}
-	for _, t := range q.Extra {
-		s += tupleBytes(t.Dim())
-	}
-	return s
+	return s + tuplesBytes(q.Extra)
 }
 
 // queryMsg disseminates a query under breadth-first forwarding (one-hop
@@ -36,21 +41,16 @@ type queryMsg struct {
 
 func (m *queryMsg) SizeBytes() int { return querySize(m.Q) }
 
-// resultMsg returns one device's reduced local skyline to the originator
-// under breadth-first forwarding (multi-hop unicast).
+// resultMsg returns one device's answer to the originator (multi-hop
+// unicast): its reduced local skyline under breadth-first forwarding, or
+// the tuples surviving the filter set in the SF collect phase.
 type resultMsg struct {
 	Key    core.QueryKey
 	From   core.DeviceID
 	Tuples []tuple.Tuple
 }
 
-func (m *resultMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	return 16 + len(m.Tuples)*tupleBytes(dim)
-}
+func (m *resultMsg) SizeBytes() int { return 16 + tuplesBytes(m.Tuples) }
 
 // dfQueryMsg hands the query to one neighbour under depth-first forwarding.
 type dfQueryMsg struct {
@@ -78,11 +78,7 @@ type dfResultMsg struct {
 }
 
 func (m *dfResultMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	s := 24 + len(m.Tuples)*tupleBytes(dim)
+	s := 24 + tuplesBytes(m.Tuples)
 	if m.Filter != nil {
 		s += tupleBytes(m.Filter.Dim()) + 8
 	}
@@ -117,13 +113,7 @@ type sfSampleMsg struct {
 	Tuples []tuple.Tuple
 }
 
-func (m *sfSampleMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	return 16 + len(m.Tuples)*tupleBytes(dim)
-}
+func (m *sfSampleMsg) SizeBytes() int { return 16 + tuplesBytes(m.Tuples) }
 
 // sfFilterMsg is SF's one full flood, opening the collect phase: the query
 // spec (a device outside the sampling TTL answers from this message alone)
@@ -148,23 +138,6 @@ func (m *sfFilterMsg) SizeBytes() int {
 	return s + len(m.Filters)*2*dim
 }
 
-// sfResultMsg returns one device's surviving tuples — its local skyline
-// pruned by the filter set, minus the sample it already sent — to the SF
-// originator.
-type sfResultMsg struct {
-	Key    core.QueryKey
-	From   core.DeviceID
-	Tuples []tuple.Tuple
-}
-
-func (m *sfResultMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	return 16 + len(m.Tuples)*tupleBytes(dim)
-}
-
 // queryKeyOf extracts the query key from any manet protocol payload, for
 // per-query message attribution; ok is false for non-manet payloads.
 func queryKeyOf(p any) (core.QueryKey, bool) {
@@ -185,8 +158,6 @@ func queryKeyOf(p any) (core.QueryKey, bool) {
 		return m.Key, true
 	case *sfFilterMsg:
 		return m.Q.Key(), true
-	case *sfResultMsg:
-		return m.Key, true
 	default:
 		return core.QueryKey{}, false
 	}

@@ -24,18 +24,20 @@ type node struct {
 	// nbBuf is the reused neighbor buffer for DF forwarding decisions.
 	nbBuf []radio.NodeID
 
-	bf    map[core.QueryKey]*bfOrigState
+	orig  map[core.QueryKey]*origState
 	df    map[core.QueryKey]*dfState
-	sf    map[core.QueryKey]*sfOrigState
 	sfDev map[core.QueryKey]*sfDevState
 }
 
-// bfOrigState is the originator's collection state for one BF query.
-type bfOrigState struct {
-	q        core.Query
-	merged   []tuple.Tuple
-	quorum   int
-	attempts int
+// origState is the originator's collection state for one BF or SF query.
+type origState struct {
+	q   core.Query // SF: bare, since no filter travels with its floods
+	col *core.Collector
+	// collecting marks an SF query past its sampling round; filters is the
+	// filter set it broadcast then.
+	collecting bool
+	filters    []tuple.Tuple
+	attempts   int
 }
 
 // dfState is a device's per-query state under depth-first forwarding.
@@ -57,15 +59,16 @@ type dfState struct {
 	// the resumed walk, so a generation guard cannot protect the retry timer)
 }
 
-// bfFlood broadcasts one hop of a BF query flood. With Params.FloodRoutes,
-// the flood frame carries the originator and hop count so receivers install
-// reverse routes for their result returns (see aodv.BroadcastLocalRouted);
-// otherwise it is a plain local broadcast, as in the paper.
-func (n *node) bfFlood(msg *queryMsg) int {
+// flood broadcasts one hop of a BF or SF flood of org's query. With
+// Params.FloodRoutes, the frame carries the originator and hop count so
+// receivers install reverse routes for their result returns (see
+// aodv.BroadcastLocalRouted); otherwise it is a plain local broadcast, as
+// in the paper.
+func (n *node) flood(org core.DeviceID, hops int, payload radio.Payload) int {
 	if n.sc.p.FloodRoutes {
-		return n.sc.net.BroadcastLocalRouted(n.id, radio.NodeID(msg.Q.Org), msg.Hops, msg)
+		return n.sc.net.BroadcastLocalRouted(n.id, radio.NodeID(org), hops, payload)
 	}
-	return n.sc.net.BroadcastLocal(n.id, msg)
+	return n.sc.net.BroadcastLocal(n.id, payload)
 }
 
 // maybeIssue fires at a scheduled issue time; a device with a query in
@@ -141,14 +144,12 @@ func (n *node) deadlineExpire(key core.QueryKey) {
 	m.Partial = true
 	n.sc.met.QueriesPartial.Inc()
 	var merged []tuple.Tuple
-	if st := n.bf[key]; st != nil {
-		merged = st.merged
+	if st := n.orig[key]; st != nil {
+		merged = st.col.Merged()
 	} else if st := n.df[key]; st != nil {
 		merged = st.merged
 		st.done = true
 		st.gen++ // invalidate ack/subtree timers of the abandoned traversal
-	} else if st := n.sf[key]; st != nil {
-		merged = st.merged
 	}
 	n.finishQuery(key, merged)
 }
@@ -166,34 +167,38 @@ func (n *node) recordRetry(key core.QueryKey, attempt int) {
 	})
 }
 
-// --- breadth-first ----------------------------------------------------------
+// --- originator (BF and SF) ------------------------------------------------
 
-func (n *node) bfStart(q core.Query, res localsky.Result) {
-	if n.bf == nil {
-		n.bf = make(map[core.QueryKey]*bfOrigState)
+// originate registers the collection state of a BF or SF query issued with
+// local result res. It returns nil when nothing is left to send: the
+// deadline fired during local processing, or there is no quorum to wait
+// for and the query completed at once.
+func (n *node) originate(q core.Query, res localsky.Result) *origState {
+	if n.orig == nil {
+		n.orig = make(map[core.QueryKey]*origState)
 	}
-	st := &bfOrigState{q: q, merged: res.Skyline, quorum: n.sc.quorum()}
-	n.bf[q.Key()] = st
-	if qm := n.sc.metrics[q.Key()]; qm != nil && qm.Done {
-		return // the deadline fired during local processing
+	key := q.Key()
+	st := &origState{q: q, col: core.NewCollector(res.Skyline, n.sc.p.BFQuorum, len(n.sc.nodes)-1)}
+	n.orig[key] = st
+	if qm := n.sc.metrics[key]; qm != nil && qm.Done {
+		return nil // the deadline fired during local processing
 	}
-	if st.quorum == 0 {
-		n.finishQuery(q.Key(), st.merged)
-		return
+	if st.col.Complete() {
+		n.finishQuery(key, st.col.Merged())
+		return nil
 	}
-	first := &queryMsg{Q: q, Hops: 1}
-	n.sc.countQueryMessages(q.Key(), n.bfFlood(first), first.SizeBytes())
-	n.bfScheduleRetry(q.Key(), st)
+	return st
 }
 
-// bfScheduleRetry arms the next re-flood under the retry policy: if the
-// query is still open when the backoff elapses, the originator floods the
-// query again. Devices that saw the first flood ignore the repeat (QueryLog
-// dedup), so a re-flood only reaches devices the original missed.
-func (n *node) bfScheduleRetry(key core.QueryKey, st *bfOrigState) {
+// scheduleRetry arms the next re-flood under the retry policy: if the query
+// is still open when the backoff elapses, reflood sends it again. Devices
+// that saw the first flood ignore the repeat (QueryLog dedup), so a
+// re-flood only reaches devices the original missed.
+func (n *node) scheduleRetry(st *origState, reflood func()) {
 	if st.attempts >= n.sc.p.QueryRetries {
 		return
 	}
+	key := st.q.Key()
 	n.sc.eng.Schedule(n.sc.p.retryDelay(st.attempts), func() {
 		qm := n.sc.metrics[key]
 		if qm == nil || qm.Done {
@@ -201,10 +206,54 @@ func (n *node) bfScheduleRetry(key core.QueryKey, st *bfOrigState) {
 		}
 		st.attempts++
 		n.recordRetry(key, st.attempts)
-		refl := &queryMsg{Q: st.q, Hops: 1}
-		n.sc.countQueryMessages(key, n.bfFlood(refl), refl.SizeBytes())
-		n.bfScheduleRetry(key, st)
+		reflood()
+		n.scheduleRetry(st, reflood)
 	})
+}
+
+// handleResult merges one device's reply (a BF reduced local skyline or SF
+// survivors) at the originator and completes the query once a quorum of
+// distinct devices answered. hops is the route length the result
+// travelled.
+func (n *node) handleResult(m *resultMsg, hops int) {
+	st := n.orig[m.Key]
+	if st == nil {
+		return
+	}
+	st.col.Add(m.From, m.Tuples)
+	qm := n.sc.metrics[m.Key]
+	if qm == nil {
+		return
+	}
+	qm.Results = st.col.Results()
+	qm.ResultTuples = len(st.col.Merged())
+	n.sc.trace(TraceEvent{Event: "result", Device: n.dev.ID,
+		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
+	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
+		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
+		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,
+	})
+	if n.sc.p.KeepSkylines {
+		qm.Skyline = append([]tuple.Tuple(nil), st.col.Merged()...)
+	}
+	if !qm.Done && st.col.Complete() {
+		n.finishQuery(m.Key, st.col.Merged())
+	}
+}
+
+// --- breadth-first ----------------------------------------------------------
+
+func (n *node) bfStart(q core.Query, res localsky.Result) {
+	st := n.originate(q, res)
+	if st == nil {
+		return
+	}
+	floodQuery := func() {
+		msg := &queryMsg{Q: q, Hops: 1}
+		n.sc.countQueryMessages(q.Key(), n.flood(q.Org, msg.Hops, msg), msg.SizeBytes())
+	}
+	floodQuery()
+	n.scheduleRetry(st, floodQuery)
 }
 
 // bfHandleQuery runs a first-time receiver's side of the flood.
@@ -229,7 +278,7 @@ func (n *node) bfHandleQuery(msg *queryMsg) {
 		})
 		// Keep flooding with the (possibly upgraded) filter.
 		fwd := &queryMsg{Q: core.Forwardable(q, res), Hops: msg.Hops + 1}
-		n.sc.countQueryMessages(q.Key(), n.bfFlood(fwd), fwd.SizeBytes())
+		n.sc.countQueryMessages(q.Key(), n.flood(q.Org, fwd.Hops, fwd), fwd.SizeBytes())
 	})
 }
 
@@ -255,34 +304,6 @@ func (n *node) observeProcess(q core.Query, res localsky.Result, hops int) {
 			T: n.sc.eng.Now(), Kind: telemetry.StageFilterUpdate,
 			Device: int32(n.dev.ID), Hops: hops,
 		})
-	}
-}
-
-// bfHandleResult merges one device's result at the originator. hops is the
-// route length the result travelled.
-func (n *node) bfHandleResult(m *resultMsg, hops int) {
-	st := n.bf[m.Key]
-	if st == nil {
-		return
-	}
-	st.merged = core.Merge(st.merged, m.Tuples)
-	qm := n.sc.metrics[m.Key]
-	if qm == nil {
-		return
-	}
-	qm.Results++
-	qm.ResultTuples = len(st.merged)
-	n.sc.trace(TraceEvent{Event: "result", Device: n.dev.ID,
-		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
-	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
-		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
-		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,
-	})
-	if n.sc.p.KeepSkylines {
-		qm.Skyline = append([]tuple.Tuple(nil), st.merged...)
-	}
-	if !qm.Done && qm.Results >= st.quorum {
-		n.finishQuery(m.Key, st.merged)
 	}
 }
 
@@ -494,7 +515,7 @@ func (n *node) dfHandleResult(from radio.NodeID, hops int, m *dfResultMsg) {
 func (n *node) onData(src radio.NodeID, hops int, payload radio.Payload) {
 	switch m := payload.(type) {
 	case *resultMsg:
-		n.bfHandleResult(m, hops)
+		n.handleResult(m, hops)
 	case *dfQueryMsg:
 		n.dfHandleQuery(src, hops, m)
 	case *dfAckMsg:
@@ -503,8 +524,6 @@ func (n *node) onData(src radio.NodeID, hops int, payload radio.Payload) {
 		n.dfHandleResult(src, hops, m)
 	case *sfSampleMsg:
 		n.sfHandleSample(m, hops)
-	case *sfResultMsg:
-		n.sfHandleResult(m, hops)
 	}
 }
 

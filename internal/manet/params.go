@@ -83,8 +83,6 @@ type Params struct {
 	// Mode is the dominating-region estimation; the paper's simulations
 	// use under-estimation (§5.2.2-II).
 	Mode core.Estimation
-	// OverFactor configures Over estimation (0 ⇒ default).
-	OverFactor float64
 	// Dynamic enables hop-by-hop filter updates (the paper's simulations
 	// always update "if possible").
 	Dynamic bool
@@ -96,14 +94,14 @@ type Params struct {
 
 	// FilterK is the SF filter-set size: how many high-pruning-power tuples
 	// the originator selects from the collected sample and broadcasts in
-	// the collect phase (0 ⇒ 2). Only the SamplingFilter strategy reads
-	// it. The default is deliberately small: every extra filter rides the
-	// full flood, costing 8·dim bytes per reception, while its marginal
-	// pruning gain fades fast — on dense networks large k loses more on
-	// the flood than it saves on survivors.
+	// the collect phase (0 ⇒ core.FilterK). Only the SamplingFilter
+	// strategy reads it. The default is deliberately small: every extra
+	// filter rides the full flood while its marginal pruning gain fades
+	// fast — on dense networks large k loses more on the flood than it
+	// saves on survivors.
 	FilterK int
 	// SampleK is how many local-skyline tuples each device volunteers
-	// during the SF sampling round (0 ⇒ 2).
+	// during the SF sampling round (0 ⇒ core.SampleK).
 	SampleK int
 	// SampleTTL is the hop budget of the SF sampling broadcast (0 ⇒ 1):
 	// how far the sample request travels before the filter flood takes
@@ -322,34 +320,21 @@ func (p Params) Validate() error {
 // NumDevices returns m = Grid².
 func (p Params) NumDevices() int { return p.Grid * p.Grid }
 
-// filterK, sampleK, sampleTTL, and sampleWait return the SF knobs with
-// their defaults applied.
-func (p Params) filterK() int {
-	if p.FilterK > 0 {
-		return p.FilterK
+// withDefaults fills the SF knobs left at zero with their defaults.
+func (p Params) withDefaults() Params {
+	if p.FilterK == 0 {
+		p.FilterK = core.FilterK
 	}
-	return 2
-}
-
-func (p Params) sampleTTL() int {
-	if p.SampleTTL > 0 {
-		return p.SampleTTL
+	if p.SampleK == 0 {
+		p.SampleK = core.SampleK
 	}
-	return 1
-}
-
-func (p Params) sampleK() int {
-	if p.SampleK > 0 {
-		return p.SampleK
+	if p.SampleTTL == 0 {
+		p.SampleTTL = 1
 	}
-	return 2
-}
-
-func (p Params) sampleWait() float64 {
-	if p.SampleWait > 0 {
-		return p.SampleWait
+	if p.SampleWait == 0 {
+		p.SampleWait = 30
 	}
-	return 30
+	return p
 }
 
 // retryDelay is the capped exponential backoff before re-issue number

@@ -2,7 +2,6 @@ package manet
 
 import (
 	"encoding/json"
-	"math"
 	"sort"
 
 	"manetskyline/internal/aodv"
@@ -34,7 +33,8 @@ type QueryMetrics struct {
 	Done bool
 	// ResponseTime is the paper's §5.2.3 metric, valid when Done.
 	ResponseTime float64
-	// Results counts result messages the originator received (BF).
+	// Results counts the distinct devices whose result reached the
+	// originator (BF and SF); duplicated replies count once.
 	Results int
 	// Acc holds the Formula 1 sums over the devices that processed the
 	// query with in-range data.
@@ -200,6 +200,7 @@ func Run(p Params) *Outcome {
 	if p.Recall {
 		p.KeepSkylines = true
 	}
+	p = p.withDefaults()
 	sc := build(p)
 	sc.eng.Run(p.SimTime)
 
@@ -293,7 +294,6 @@ func build(p Params) *scenario {
 	sc.nodes = make([]node, len(parts))
 	for i, part := range parts {
 		dev := core.NewDevice(core.DeviceID(i), part, schema, p.Mode, p.Dynamic)
-		dev.OverFactor = p.OverFactor
 		dev.NumFilters = p.NumFilters
 		dev.Met = devMet
 
@@ -384,16 +384,6 @@ func (sc *scenario) countQueryMessages(key core.QueryKey, n, sizeBytes int) {
 	}
 	sc.met.QueryMessages.Add(int64(n))
 	sc.met.QueryBytes.Add(int64(n) * int64(sizeBytes))
-}
-
-// quorum computes the BF completion threshold: the paper's 80% of the other
-// devices.
-func (sc *scenario) quorum() int {
-	others := len(sc.nodes) - 1
-	if others <= 0 {
-		return 0
-	}
-	return int(math.Ceil(sc.p.BFQuorum * float64(others)))
 }
 
 // processOutcome is the slice of localsky.Result the metrics need.

@@ -4,7 +4,6 @@ import (
 	"manetskyline/internal/core"
 	"manetskyline/internal/localsky"
 	"manetskyline/internal/radio"
-	"manetskyline/internal/skyline"
 	"manetskyline/internal/telemetry"
 	"manetskyline/internal/tuple"
 )
@@ -35,18 +34,6 @@ import (
 // a (query + k attribute-only filters) flood and shrinks the returned
 // results to near-empty survivor messages.
 
-// sfOrigState is the originator's state for one SF query.
-type sfOrigState struct {
-	q      core.Query // bare query: no filter travels with SF floods
-	merged []tuple.Tuple
-	// filters is the broadcast filter set, fixed when phase flips to 1.
-	filters []tuple.Tuple
-	quorum  int
-	// phase is 0 while sampling, 1 while collecting survivors.
-	phase    int
-	attempts int
-}
-
 // sfDevState is a non-originator device's state for one SF query: the full
 // local skyline computed in the sampling round, kept for the collect phase.
 type sfDevState struct {
@@ -56,101 +43,47 @@ type sfDevState struct {
 	replied   bool // survivors already sent (collect-phase dedup)
 }
 
-// sfSeed derives the filter-selection seed from the query key, mirroring
-// the multi-filter extension's per-query determinism.
-func sfSeed(key core.QueryKey) int64 {
-	return int64(key.Cnt) + int64(key.Org)<<8
-}
-
-// sfBare strips the filtering tuples Originate attached: SF floods carry no
-// filter (devices must compute their full local skylines for the collect
-// phase to prune against the stronger sampled filter set).
-func sfBare(q core.Query) core.Query {
-	q.Filter = nil
-	q.FilterVDR = 0
-	q.Extra = nil
-	return q
-}
-
-// sfFlood broadcasts one hop of an SF flood, installing reverse routes when
-// FloodRoutes is on (same contract as bfFlood).
-func (n *node) sfFlood(org core.DeviceID, hops int, payload radio.Payload) int {
-	if n.sc.p.FloodRoutes {
-		return n.sc.net.BroadcastLocalRouted(n.id, radio.NodeID(org), hops, payload)
-	}
-	return n.sc.net.BroadcastLocal(n.id, payload)
-}
-
 // sfStart runs the originator's side of SF query issue: broadcast the
 // TTL-limited sample request and arm the sample-collection deadline.
 func (n *node) sfStart(q core.Query, res localsky.Result) {
-	if n.sf == nil {
-		n.sf = make(map[core.QueryKey]*sfOrigState)
-	}
-	bare := sfBare(q)
-	key := bare.Key()
-	st := &sfOrigState{q: bare, merged: res.Skyline, quorum: n.sc.quorum()}
-	n.sf[key] = st
-	if qm := n.sc.metrics[key]; qm != nil && qm.Done {
-		return // the deadline fired during local processing
-	}
-	if st.quorum == 0 {
-		n.finishQuery(key, st.merged)
+	st := n.originate(q.Bare(), res)
+	if st == nil {
 		return
 	}
-	first := &sfQueryMsg{Q: bare, SampleK: n.sc.p.sampleK(), TTL: n.sc.p.sampleTTL(), Hops: 1}
-	n.sc.countQueryMessages(key, n.sfFlood(bare.Org, first.Hops, first), first.SizeBytes())
-	n.sc.eng.Schedule(n.sc.p.sampleWait(), func() { n.sfBroadcastFilters(key, st) })
-	n.sfScheduleRetry(key, st)
+	n.sfFlood(st)
+	n.sc.eng.Schedule(n.sc.p.SampleWait, func() { n.sfBroadcastFilters(st) })
+	n.scheduleRetry(st, func() { n.sfFlood(st) })
 }
 
-// sfScheduleRetry arms the next re-flood under the retry policy: whichever
-// phase the query is in when the backoff elapses is flooded again, reaching
-// devices the original flood missed (devices that saw it dedup as usual).
-func (n *node) sfScheduleRetry(key core.QueryKey, st *sfOrigState) {
-	if st.attempts >= n.sc.p.QueryRetries {
-		return
+// sfFlood floods the phase the query is in: the sample request while
+// sampling, the filter set once collecting. A retry thereby re-floods
+// whichever phase is current.
+func (n *node) sfFlood(st *origState) {
+	key := st.q.Key()
+	var msg radio.Payload = &sfQueryMsg{Q: st.q, SampleK: n.sc.p.SampleK, TTL: n.sc.p.SampleTTL, Hops: 1}
+	if st.collecting {
+		msg = &sfFilterMsg{Q: st.q, Filters: st.filters, Hops: 1}
 	}
-	n.sc.eng.Schedule(n.sc.p.retryDelay(st.attempts), func() {
-		qm := n.sc.metrics[key]
-		if qm == nil || qm.Done {
-			return
-		}
-		st.attempts++
-		n.recordRetry(key, st.attempts)
-		if st.phase == 0 {
-			refl := &sfQueryMsg{Q: st.q, SampleK: n.sc.p.sampleK(), TTL: n.sc.p.sampleTTL(), Hops: 1}
-			n.sc.countQueryMessages(key, n.sfFlood(st.q.Org, refl.Hops, refl), refl.SizeBytes())
-		} else {
-			refl := &sfFilterMsg{Q: st.q, Filters: st.filters, Hops: 1}
-			n.sc.countQueryMessages(key, n.sfFlood(st.q.Org, refl.Hops, refl), refl.SizeBytes())
-		}
-		n.sfScheduleRetry(key, st)
-	})
+	n.sc.countQueryMessages(key, n.flood(key.Org, 1, msg), msg.SizeBytes())
 }
 
 // sfBroadcastFilters flips the originator into the collect phase: select
 // the filter set from everything sampled so far and flood it.
-func (n *node) sfBroadcastFilters(key core.QueryKey, st *sfOrigState) {
+func (n *node) sfBroadcastFilters(st *origState) {
+	key := st.q.Key()
 	qm := n.sc.metrics[key]
-	if qm == nil || qm.Done || st.phase != 0 {
+	if qm == nil || qm.Done || st.collecting {
 		return
 	}
-	st.phase = 1
-	hi := core.VDRBounds(n.dev.Mode, n.dev.Schema, n.dev.Rel, n.dev.OverFactor)
-	selected := skyline.SelectFilterSet(st.merged, hi, n.sc.p.filterK(), 0, sfSeed(key))
-	// The flood ships 16-bit fixed-point attribute codes; quantizing here
-	// means the pruning every device performs matches what actually
-	// travelled (conservative: rounded toward worse, exactness preserved).
-	st.filters = core.QuantizeFilters(selected, n.dev.Schema)
+	st.collecting = true
+	st.filters = n.dev.SelectFilterSet(st.col.Merged(), key, n.sc.p.FilterK)
 	n.sc.trace(TraceEvent{Event: "filter-set", Device: n.dev.ID,
 		Org: key.Org, Cnt: key.Cnt, Tuples: len(st.filters)})
 	n.sc.spans.Observe(spanKey(key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageFilterSet,
 		Device: int32(n.dev.ID), Tuples: len(st.filters),
 	})
-	msg := &sfFilterMsg{Q: st.q, Filters: st.filters, Hops: 1}
-	n.sc.countQueryMessages(key, n.sfFlood(st.q.Org, msg.Hops, msg), msg.SizeBytes())
+	n.sfFlood(st)
 }
 
 // sfHandleQuery runs a first-time receiver's side of the sampling round:
@@ -166,7 +99,7 @@ func (n *node) sfHandleQuery(msg *sfQueryMsg) {
 	}
 	if msg.TTL > 1 {
 		fwd := &sfQueryMsg{Q: q, SampleK: msg.SampleK, TTL: msg.TTL - 1, Hops: msg.Hops + 1}
-		n.sc.countQueryMessages(key, n.sfFlood(q.Org, fwd.Hops, fwd), fwd.SizeBytes())
+		n.sc.countQueryMessages(key, n.flood(q.Org, fwd.Hops, fwd), fwd.SizeBytes())
 	}
 	res := n.dev.Process(q) // bare query: the full constrained local skyline
 	n.sc.eng.Schedule(n.sc.p.Cost.Time(res.Stats), func() {
@@ -188,11 +121,11 @@ func (n *node) sfHandleQuery(msg *sfQueryMsg) {
 // arrive after the phase flip still improve the final result; they simply
 // no longer influence filter selection.
 func (n *node) sfHandleSample(m *sfSampleMsg, hops int) {
-	st := n.sf[m.Key]
+	st := n.orig[m.Key]
 	if st == nil {
 		return
 	}
-	st.merged = core.Merge(st.merged, m.Tuples)
+	st.col.Absorb(m.Tuples)
 	n.sc.trace(TraceEvent{Event: "sample", Device: n.dev.ID,
 		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
 	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
@@ -237,7 +170,7 @@ func (n *node) sfHandleFilter(msg *sfFilterMsg) {
 // sfRefloodFilter forwards the filter flood one hop.
 func (n *node) sfRefloodFilter(key core.QueryKey, msg *sfFilterMsg) {
 	fwd := &sfFilterMsg{Q: msg.Q, Filters: msg.Filters, Hops: msg.Hops + 1}
-	n.sc.countQueryMessages(key, n.sfFlood(key.Org, fwd.Hops, fwd), fwd.SizeBytes())
+	n.sc.countQueryMessages(key, n.flood(key.Org, fwd.Hops, fwd), fwd.SizeBytes())
 }
 
 // sfSendSurvivors computes and returns one device's surviving tuples.
@@ -251,35 +184,7 @@ func (n *node) sfSendSurvivors(key core.QueryKey, ds *sfDevState, msg *sfFilterM
 		unreduced:  ds.unreduced,
 		filters:    len(msg.Filters),
 	})
-	n.sc.net.Send(n.id, radio.NodeID(key.Org), &sfResultMsg{
+	n.sc.net.Send(n.id, radio.NodeID(key.Org), &resultMsg{
 		Key: key, From: n.dev.ID, Tuples: surv,
 	})
-}
-
-// sfHandleResult merges one device's survivors at the originator and
-// completes the query at quorum.
-func (n *node) sfHandleResult(m *sfResultMsg, hops int) {
-	st := n.sf[m.Key]
-	if st == nil {
-		return
-	}
-	st.merged = core.Merge(st.merged, m.Tuples)
-	qm := n.sc.metrics[m.Key]
-	if qm == nil {
-		return
-	}
-	qm.Results++
-	qm.ResultTuples = len(st.merged)
-	n.sc.trace(TraceEvent{Event: "result", Device: n.dev.ID,
-		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
-	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
-		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
-		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,
-	})
-	if n.sc.p.KeepSkylines {
-		qm.Skyline = append([]tuple.Tuple(nil), st.merged...)
-	}
-	if !qm.Done && qm.Results >= st.quorum {
-		n.finishQuery(m.Key, st.merged)
-	}
 }

@@ -104,7 +104,7 @@ func TestBreakerOpensUnderDialFailuresAndRecovers(t *testing.T) {
 
 	// Query 1: two dial failures (25ms + 50ms backoff) open the breaker,
 	// which then condemns the frame — the query fails fast and explicitly.
-	if _, err := p0.Query(core.Unconstrained(), 2); !errors.Is(err, ErrUnreachable) {
+	if _, err := p0.Query(p0.Pos(), core.Unconstrained(), 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("query 1 error = %v, want ErrUnreachable", err)
 	}
 	waitFor(t, "breaker open", func() bool {
@@ -120,7 +120,7 @@ func TestBreakerOpensUnderDialFailuresAndRecovers(t *testing.T) {
 	// dials are burned, and the query still fails explicitly and fast.
 	dialsBefore := snap.Counters["tcp_dials_total"]
 	start := time.Now()
-	if _, err := p0.Query(core.Unconstrained(), 2); !errors.Is(err, ErrUnreachable) {
+	if _, err := p0.Query(p0.Pos(), core.Unconstrained(), 2); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("query 2 error = %v, want ErrUnreachable", err)
 	}
 	if elapsed := time.Since(start); elapsed > cfg.BreakerCooldown {
@@ -145,7 +145,7 @@ func TestBreakerOpensUnderDialFailuresAndRecovers(t *testing.T) {
 	p1.AddNeighbor(0)
 	time.Sleep(cfg.BreakerCooldown + 50*time.Millisecond)
 
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil {
 		t.Fatalf("query 3 after recovery: %v", err)
 	}

@@ -53,7 +53,7 @@ func TestDeadLetterFailsQuorumSlotImmediately(t *testing.T) {
 	p0.AddNeighbor(1)
 
 	start := time.Now()
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("Query error = %v, want ErrUnreachable", err)
@@ -74,32 +74,50 @@ func TestDeadLetterFailsQuorumSlotImmediately(t *testing.T) {
 }
 
 // TestUnresolvableNeighborFailsSlotWithoutDialing covers the fastest
-// dead-letter path: a neighbour the directory cannot resolve fails the
-// quorum slot at send time, so the query returns immediately.
+// dead-letter path under both strategies: a neighbour the directory cannot
+// resolve fails the quorum slot at send time, so the query returns
+// immediately. SF's sample request fails the same way, and the query
+// closes before its filter-set flood would go out.
 func TestUnresolvableNeighborFailsSlotWithoutDialing(t *testing.T) {
-	defer leaktest.Check(t)()
-	reg := telemetry.NewRegistry()
-	dir := NewDirectory()
-	cfg := DefaultConfig()
-	cfg.Registry = reg
-	cfg.QueryTimeout = 5 * time.Second
-	p0, err := NewPeer(0, nil, tuple.NewSchema(2, 0, 10), core.Under, true, tuple.Point{}, dir, cfg)
-	if err != nil {
-		t.Fatalf("NewPeer: %v", err)
-	}
-	defer p0.Close()
-	p0.AddNeighbor(7) // never registered
+	for _, tc := range []struct {
+		name  string
+		query func(*Peer) (QueryResult, error)
+	}{
+		{"BF", func(p *Peer) (QueryResult, error) { return p.Query(p.Pos(), core.Unconstrained(), 2) }},
+		{"SF", func(p *Peer) (QueryResult, error) { return p.QuerySF(p.Pos(), core.Unconstrained(), 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leaktest.Check(t)()
+			reg := telemetry.NewRegistry()
+			dir := NewDirectory()
+			cfg := DefaultConfig()
+			cfg.Registry = reg
+			cfg.QueryTimeout = 5 * time.Second
+			p0, err := NewPeer(0, nil, tuple.NewSchema(2, 0, 10), core.Under, true, tuple.Point{}, dir, cfg)
+			if err != nil {
+				t.Fatalf("NewPeer: %v", err)
+			}
+			defer p0.Close()
+			p0.AddNeighbor(7) // never registered
 
-	start := time.Now()
-	_, err = p0.Query(core.Unconstrained(), 2)
-	if !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("Query error = %v, want ErrUnreachable", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("query took %v; an unresolvable flood should fail instantly", elapsed)
-	}
-	if got := reg.Snapshot().Counters["tcp_deadletter_total"]; got != 1 {
-		t.Errorf("tcp_deadletter_total = %d, want 1", got)
+			start := time.Now()
+			_, err = tc.query(p0)
+			if !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("query error = %v, want ErrUnreachable", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Errorf("query took %v; an unresolvable flood should fail instantly", elapsed)
+			}
+			snap := reg.Snapshot().Counters
+			if got := snap["tcp_deadletter_total"]; got != 1 {
+				t.Errorf("tcp_deadletter_total = %d, want 1", got)
+			}
+			// One frame per flood was attempted; SF's filter-set flood must
+			// not follow a closed query.
+			if got := snap["tcp_sends_suppressed_total"]; got != 1 {
+				t.Errorf("tcp_sends_suppressed_total = %d, want 1 (no flood after close)", got)
+			}
+		})
 	}
 }
 
@@ -131,7 +149,7 @@ func TestDeadLetterDoesNotFireWithLiveNeighbors(t *testing.T) {
 	p0.AddNeighbor(1)
 	p0.AddNeighbor(2) // dead
 
-	res, err := p0.Query(core.Unconstrained(), 3)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 3)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -159,7 +177,7 @@ func TestRejectFrameDroppedNotCrashed(t *testing.T) {
 
 	resCh := make(chan QueryResult, 1)
 	go func() {
-		r, _ := p.Query(core.Unconstrained(), 2)
+		r, _ := p.Query(p.Pos(), core.Unconstrained(), 2)
 		resCh <- r
 	}()
 	time.Sleep(50 * time.Millisecond)

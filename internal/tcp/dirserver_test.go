@@ -89,7 +89,7 @@ func TestPeersThroughDirectoryServer(t *testing.T) {
 			}
 		}
 	}
-	res, err := peers[0].Query(600, len(peers))
+	res, err := peers[0].Query(peers[0].Pos(), 600, len(peers))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestPeerLeaseCrashRestart(t *testing.T) {
 	p0.AddNeighbor(1)
 	p1.AddNeighbor(0)
 
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil || !res.Complete {
 		t.Fatalf("initial query: err=%v complete=%v", err, res.Complete)
 	}
@@ -283,7 +283,7 @@ func TestPeerLeaseCrashRestart(t *testing.T) {
 	// dial failure and re-resolves. Allow a couple of query attempts.
 	ok := false
 	for attempt := 0; attempt < 5 && !ok; attempt++ {
-		res, err := p0.Query(core.Unconstrained(), 2)
+		res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 		if err != nil {
 			t.Fatalf("query after restart: %v", err)
 		}
@@ -293,7 +293,7 @@ func TestPeerLeaseCrashRestart(t *testing.T) {
 		t.Errorf("queries never completed against the restarted peer")
 	}
 	want := skyline.Constrained(data, p0.Pos(), core.Unconstrained())
-	res, err = p0.Query(core.Unconstrained(), 2)
+	res, err = p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil || !res.Complete {
 		t.Fatalf("final query: err=%v complete=%v", err, res.Complete)
 	}

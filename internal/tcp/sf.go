@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"manetskyline/internal/core"
-	"manetskyline/internal/skyline"
 	"manetskyline/internal/telemetry"
 	"manetskyline/internal/tuple"
 	"manetskyline/internal/wire"
@@ -19,20 +18,16 @@ import (
 //	         of their constrained local skylines.
 //	phase 1: each neighbour replies with its sample; the peer keeps its
 //	         full local skyline for the collect phase.
-//	phase 2: after SFSampleWait the originator selects SFFilterK filters by
-//	         greedy dominating-region coverage, quantizes them, and floods
-//	         them with the query spec — SF's one full flood. A peer that
-//	         missed the sampling round answers from this frame alone.
+//	phase 2: after SFSampleWait the originator selects core.FilterK filters
+//	         (core.Device.SelectFilterSet: greedy dominating-region
+//	         coverage, quantized) and floods them with the query spec — SF's
+//	         one full flood. A peer that missed the sampling round answers
+//	         from this frame alone.
 //	phase 3: every peer returns only the tuples surviving the filter set.
 //
 // Peers built before this kind existed drop the frame at Peek (counted in
 // tcp_frames_dropped_total) and keep serving — mixed-version grids degrade,
 // they do not crash.
-
-// sfOrigQuery is the originator's phase state for one in-flight SF query.
-type sfOrigQuery struct {
-	bare core.Query
-}
 
 // sfLocalState caches a non-originator peer's full local skyline for one SF
 // query, computed once whether the sampling round or the filter flood
@@ -43,127 +38,56 @@ type sfLocalState struct {
 	replied    bool
 }
 
-// sfSeedTCP derives the filter-selection seed from the query key, the same
-// formula the simulator and the multi-filter extension use.
-func sfSeedTCP(key core.QueryKey) int64 {
-	return int64(key.Cnt) + int64(key.Org)<<8
-}
-
 // sfQuerySpec rebuilds the bare query a FilterSet frame describes.
 func sfQuerySpec(m wire.FilterSet) core.Query {
 	return core.Query{Org: m.Key.Org, Cnt: m.Key.Cnt, Pos: m.Pos, D: m.D}
 }
 
-// QuerySF originates a distributed constrained skyline query under the SF
-// strategy: a one-hop sampling round, a filter-set flood, and a survivors
-// collection, completing at the same quorum contract as Query. Fault-free,
+// QuerySF originates a distributed constrained skyline query around pos
+// under the SF strategy: a one-hop sampling round, a filter-set flood, and
+// a survivors collection, completing at the same quorum contract as Query
+// and failing fast the same way when every frame dead-letters. Fault-free,
 // the result equals Query's exactly; on the wire the flood carries k
 // quantized filters instead of each hop's best filter, and the replies
 // shrink to survivor sets.
-func (p *Peer) QuerySF(d float64, totalPeers int) (QueryResult, error) {
-	start := time.Now()
-	q, res := p.dev.Originate(p.pos, d)
-	bare := q
-	bare.Filter, bare.FilterVDR, bare.Extra = nil, 0, nil
-	key := bare.Key()
-	if p.cfg.Spans != nil {
-		p.cfg.Spans.Begin(spanKey(key), nowSecs())
+func (p *Peer) QuerySF(pos tuple.Point, d float64, totalPeers int) (QueryResult, error) {
+	return p.query(pos, d, totalPeers, true)
+}
+
+// sfFloods runs the SF originator's two floods: the one-hop sample request
+// (no re-flood — SF only needs a representative neighbourhood sample to
+// pick filters from), then, after SFSampleWait, the filter set selected
+// from the samples merged so far. A query that closed meanwhile (quorum,
+// deadline, dead-lettered sample requests, or Close) sends no filter set.
+func (p *Peer) sfFloods(q core.Query, pq *pendingQuery, neighbors []core.DeviceID) {
+	key := q.Key()
+	p.flood(pq, key, neighbors, wire.EncodeFilterSet(wire.FilterSet{
+		Key: key, Phase: wire.SFPhaseSampleRequest,
+		Pos: q.Pos, D: q.D, SampleK: core.SampleK,
+	}))
+	wait := time.NewTimer(p.cfg.SFSampleWait)
+	select {
+	case <-wait.C:
+	case <-pq.done:
 	}
-	want := int(float64(totalPeers-1)*p.cfg.Quorum + 0.999999)
-	if want < 0 {
-		want = 0
-	}
-	pq := &pendingQuery{
-		merged: res.Skyline,
-		from:   make(map[core.DeviceID]bool),
-		want:   want,
-		done:   make(chan struct{}),
-	}
+	wait.Stop()
 	p.mu.Lock()
-	if p.closed {
+	if pq.closed {
 		p.mu.Unlock()
-		return QueryResult{}, ErrClosed
+		return
 	}
-	p.pending[key] = pq
-	p.sfOrig[key] = &sfOrigQuery{bare: bare}
-	p.sfSeen[key] = true // drop echoes of our own filter flood early
-	neighbors := append([]core.DeviceID(nil), p.neighbors...)
+	filters := p.dev.SelectFilterSet(pq.Merged(), key, core.FilterK)
 	p.mu.Unlock()
-
-	complete := want == 0
-	if !complete {
-		// Phase 0: one-hop sample request. No re-flood — SF only needs a
-		// representative neighbourhood sample to pick filters from.
-		req := wire.EncodeFilterSet(wire.FilterSet{
-			Key: key, Phase: wire.SFPhaseSampleRequest,
-			Pos: bare.Pos, D: bare.D, SampleK: uint16(p.cfg.SFSampleK),
-		})
-		qtc := p.traceCtx(key, 1)
-		for _, nb := range neighbors {
-			p.send(nb, req, qtc)
-		}
-
-		// Collect samples, then flood the selected filter set.
-		deadline := time.NewTimer(p.cfg.QueryTimeout)
-		defer deadline.Stop()
-		sampleTimer := time.NewTimer(p.cfg.SFSampleWait)
-		defer sampleTimer.Stop()
-		select {
-		case <-sampleTimer.C:
-		case <-pq.done: // peer closed underneath us
-		case <-deadline.C:
-		}
-
-		p.mu.Lock()
-		hi := core.VDRBounds(p.dev.Mode, p.dev.Schema, p.dev.Rel, p.dev.OverFactor)
-		selected := skyline.SelectFilterSet(pq.merged, hi, p.cfg.SFFilterK, 0, sfSeedTCP(key))
-		// Ship what every peer will actually prune against: conservatively
-		// quantized attribute codes (rounded toward worse — exactness holds).
-		filters := core.QuantizeFilters(selected, p.dev.Schema)
-		p.mu.Unlock()
-		if p.cfg.Spans != nil {
-			p.cfg.Spans.ObserveAuto(spanKey(key), telemetry.Stage{
-				T: nowSecs(), Kind: telemetry.StageFilterSet,
-				Device: int32(p.dev.ID), Tuples: len(filters),
-			})
-		}
-		flood := wire.EncodeFilterSet(wire.FilterSet{
-			Key: key, Phase: wire.SFPhaseFilterSet,
-			Pos: bare.Pos, D: bare.D, Tuples: filters,
-		})
-		ftc := p.traceCtx(key, 1)
-		for _, nb := range neighbors {
-			p.send(nb, flood, ftc)
-		}
-		select {
-		case <-pq.done:
-		case <-deadline.C:
-		}
-	}
-
-	p.mu.Lock()
-	complete = complete || pq.results >= pq.want
-	out := QueryResult{
-		Skyline:  append([]tuple.Tuple(nil), pq.merged...),
-		Results:  pq.results,
-		Complete: complete,
-		Elapsed:  time.Since(start),
-	}
-	delete(p.pending, key)
-	delete(p.sfOrig, key)
-	p.mu.Unlock()
-	p.met.QueriesIssued.Inc()
-	p.met.QueryLatency.Observe(out.Elapsed.Seconds())
-	if complete {
-		p.met.QueriesCompleted.Inc()
-	}
 	if p.cfg.Spans != nil {
-		if !complete {
-			p.cfg.Spans.MarkPartial(spanKey(key))
-		}
-		p.cfg.Spans.Complete(spanKey(key), nowSecs(), len(out.Skyline))
+		p.cfg.Spans.ObserveAuto(spanKey(key), telemetry.Stage{
+			T: nowSecs(), Kind: telemetry.StageFilterSet,
+			Device: int32(p.dev.ID), Tuples: len(filters),
+		})
 	}
-	return out, nil
+	p.flood(pq, key, neighbors, wire.EncodeFilterSet(wire.FilterSet{
+		Key: key, Phase: wire.SFPhaseFilterSet,
+		Pos: q.Pos, D: q.D, Tuples: filters,
+	}))
 }
 
 // handleFilterSet dispatches one SF subprotocol frame by phase.
@@ -178,10 +102,7 @@ func (p *Peer) handleFilterSet(m wire.FilterSet, tc *wire.TraceContext) {
 	case wire.SFPhaseSurvivors:
 		// Survivors follow the same originator-side contract as BF results:
 		// per-sender dedupe, merge, quorum.
-		if tc != nil {
-			p.traceStage(tc, telemetry.StageResult, m.From, 0)
-		}
-		p.handleResult(wire.Result{Key: m.Key, From: m.From, Tuples: m.Tuples}, nil)
+		p.handleResult(wire.Result{Key: m.Key, From: m.From, Tuples: m.Tuples}, tc)
 	}
 }
 
@@ -238,12 +159,9 @@ func (p *Peer) sfHandleSampleRequest(m wire.FilterSet, tc *wire.TraceContext) {
 	st.sampleSent = true
 	p.mu.Unlock()
 	sample := core.SampleTuples(st.skyline, int(m.SampleK), core.SampleSeed(m.Key, p.dev.ID))
-	reply := wire.EncodeFilterSet(wire.FilterSet{
+	p.reply(m.Key, 1, wire.EncodeFilterSet(wire.FilterSet{
 		Key: m.Key, Phase: wire.SFPhaseSampleReply, From: p.dev.ID, Tuples: sample,
-	})
-	rtc := p.traceCtx(m.Key, 1)
-	p.traceStage(rtc, telemetry.StageReply, m.Key.Org, wire.FrameWireSize(len(reply), rtc != nil))
-	p.send(m.Key.Org, reply, rtc)
+	}))
 }
 
 // sfHandleSampleReply merges one peer's sample at the originator. Samples
@@ -255,11 +173,8 @@ func (p *Peer) sfHandleSampleReply(m wire.FilterSet, tc *wire.TraceContext) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.sfOrig[m.Key] == nil {
-		return
-	}
 	if pq := p.pending[m.Key]; pq != nil {
-		pq.merged = core.Merge(pq.merged, m.Tuples)
+		pq.Absorb(m.Tuples)
 	}
 }
 
@@ -270,7 +185,6 @@ func (p *Peer) sfHandleFilterFlood(m wire.FilterSet, tc *wire.TraceContext) {
 	p.mu.Lock()
 	seen := p.sfSeen[m.Key]
 	p.sfSeen[m.Key] = true
-	neighbors := append([]core.DeviceID(nil), p.neighbors...)
 	p.mu.Unlock()
 	if seen {
 		return
@@ -280,13 +194,7 @@ func (p *Peer) sfHandleFilterFlood(m wire.FilterSet, tc *wire.TraceContext) {
 		hop = tc.Hop
 		p.traceStage(tc, telemetry.StageHandle, core.DeviceID(tc.Parent), 0)
 	}
-	fwd := wire.EncodeFilterSet(m)
-	ftc := p.traceCtx(m.Key, hop+1)
-	for _, nb := range neighbors {
-		if nb != m.Key.Org {
-			p.send(nb, fwd, ftc)
-		}
-	}
+	p.forward(m.Key, hop, wire.EncodeFilterSet(m))
 	st := p.sfLocalFor(sfQuerySpec(m))
 	if st == nil {
 		return
@@ -299,10 +207,7 @@ func (p *Peer) sfHandleFilterFlood(m wire.FilterSet, tc *wire.TraceContext) {
 	st.replied = true
 	p.mu.Unlock()
 	surv := core.Survivors(st.skyline, m.Tuples)
-	reply := wire.EncodeFilterSet(wire.FilterSet{
+	p.reply(m.Key, hop, wire.EncodeFilterSet(wire.FilterSet{
 		Key: m.Key, Phase: wire.SFPhaseSurvivors, From: p.dev.ID, Tuples: surv,
-	})
-	rtc := p.traceCtx(m.Key, hop)
-	p.traceStage(rtc, telemetry.StageReply, m.Key.Org, wire.FrameWireSize(len(reply), rtc != nil))
-	p.send(m.Key.Org, reply, rtc)
+	}))
 }

@@ -19,7 +19,7 @@ func TestQuerySFOverRealSockets(t *testing.T) {
 	peers, data, cleanup := buildPeers(t, DefaultConfig(), 3000, 2, 3, 5)
 	defer cleanup()
 	for _, org := range []int{0, 4, 8} {
-		res, err := peers[org].QuerySF(500, len(peers))
+		res, err := peers[org].QuerySF(peers[org].Pos(), 500, len(peers))
 		if err != nil {
 			t.Fatalf("QuerySF: %v", err)
 		}
@@ -44,9 +44,9 @@ func TestQuerySFMatchesQueryAcrossPeers(t *testing.T) {
 		var res QueryResult
 		var err error
 		if i%2 == 0 {
-			res, err = p.QuerySF(600, len(peers))
+			res, err = p.QuerySF(p.Pos(), 600, len(peers))
 		} else {
-			res, err = p.Query(600, len(peers))
+			res, err = p.Query(p.Pos(), 600, len(peers))
 		}
 		if err != nil || !res.Complete {
 			t.Fatalf("peer %d: err=%v complete=%v", i, err, res.Complete)
@@ -77,7 +77,7 @@ func TestMixedVersionFrameRejectedNotCrashed(t *testing.T) {
 
 	resCh := make(chan QueryResult, 1)
 	go func() {
-		r, _ := p.Query(core.Unconstrained(), 2)
+		r, _ := p.Query(p.Pos(), core.Unconstrained(), 2)
 		resCh <- r
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -139,16 +139,14 @@ func TestMalformedFilterSetClosesConnection(t *testing.T) {
 	}
 }
 
-// TestSFConfigValidate covers the new SF tuning fields.
+// TestSFConfigValidate covers the SF tuning field.
 func TestSFConfigValidate(t *testing.T) {
 	good := DefaultConfig()
-	good.SFSampleK, good.SFFilterK, good.SFSampleWait = 4, 3, 50*time.Millisecond
+	good.SFSampleWait = 50 * time.Millisecond
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid SF config rejected: %v", err)
 	}
 	for i, mut := range []func(*Config){
-		func(c *Config) { c.SFSampleK = -1 },
-		func(c *Config) { c.SFFilterK = -1 },
 		func(c *Config) { c.SFSampleWait = -time.Second },
 	} {
 		c := DefaultConfig()
@@ -167,7 +165,7 @@ func TestSinglePeerQuerySF(t *testing.T) {
 		t.Fatalf("NewPeer: %v", err)
 	}
 	defer p.Close()
-	res, err := p.QuerySF(300, 1)
+	res, err := p.QuerySF(p.Pos(), 300, 1)
 	if err != nil || !res.Complete {
 		t.Fatalf("solo SF query: %v %v", err, res.Complete)
 	}

@@ -37,10 +37,6 @@ type Config struct {
 	QueryTimeout time.Duration
 	// Quorum is the fraction of other peers whose results complete a query.
 	Quorum float64
-	// SFSampleK is QuerySF's per-peer sample budget (0 ⇒ 2).
-	SFSampleK int
-	// SFFilterK is QuerySF's broadcast filter-set size (0 ⇒ 2).
-	SFFilterK int
 	// SFSampleWait is how long QuerySF collects neighbour samples before
 	// selecting and flooding the filter set (0 ⇒ 150ms). It spends part of
 	// the QueryTimeout budget, so keep it well below it.
@@ -124,8 +120,8 @@ func (c Config) Validate() error {
 		c.BreakerThreshold < 0 || c.BreakerCooldown < 0 {
 		return fmt.Errorf("tcp: negative transport tuning field")
 	}
-	if c.SFSampleK < 0 || c.SFFilterK < 0 || c.SFSampleWait < 0 {
-		return fmt.Errorf("tcp: negative SF tuning field")
+	if c.SFSampleWait < 0 {
+		return fmt.Errorf("tcp: negative SF sample wait")
 	}
 	return nil
 }
@@ -138,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown == 0 && c.BreakerThreshold > 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.SFSampleK == 0 {
-		c.SFSampleK = 2
-	}
-	if c.SFFilterK == 0 {
-		c.SFFilterK = 2
 	}
 	if c.SFSampleWait == 0 {
 		c.SFSampleWait = 150 * time.Millisecond
@@ -169,7 +159,6 @@ type Peer struct {
 	mu        sync.Mutex
 	neighbors []core.DeviceID
 	pending   map[core.QueryKey]*pendingQuery
-	sfOrig    map[core.QueryKey]*sfOrigQuery
 	sfLocal   map[core.QueryKey]*sfLocalState
 	sfSeen    map[core.QueryKey]bool
 	conns     map[core.DeviceID]*peerConn
@@ -181,22 +170,36 @@ type Peer struct {
 	wg sync.WaitGroup
 }
 
+// pendingQuery is an originated query in flight: the core collector under
+// the peer's lock, plus the wake-up and dead-letter accounting of the
+// transport.
 type pendingQuery struct {
-	merged  []tuple.Tuple
-	from    map[core.DeviceID]bool
-	results int
-	want    int
-	done    chan struct{}
-	closed  bool
-	// sent is how many initial flood frames the originator issued; failed
+	*core.Collector
+	done   chan struct{}
+	closed bool
+	// sent is how many neighbours the originator's floods go to; failed
 	// tracks neighbours whose tagged frame dead-lettered (queue overflow,
 	// retry exhaustion, open breaker, or unresolvable peer). When every
-	// flood frame failed and nothing answered, no result can ever arrive:
+	// neighbour failed and nothing answered, no result can ever arrive:
 	// the query wakes immediately with deadErr instead of idling to its
 	// deadline.
 	sent    int
 	failed  map[core.DeviceID]bool
 	deadErr error
+}
+
+// close wakes the waiting originator once. Callers hold the peer's lock.
+func (pq *pendingQuery) close() {
+	if !pq.closed {
+		pq.closed = true
+		close(pq.done)
+	}
+}
+
+// unreachable reports that every neighbour's flood frame dead-lettered
+// before any result arrived.
+func (pq *pendingQuery) unreachable() bool {
+	return pq.sent > 0 && len(pq.failed) >= pq.sent && pq.Results() == 0
 }
 
 // NewPeer starts a peer listening on 127.0.0.1 (an ephemeral port),
@@ -223,7 +226,6 @@ func NewPeer(id core.DeviceID, ts []tuple.Tuple, schema tuple.Schema,
 		ctx:     ctx,
 		cancel:  cancel,
 		pending: make(map[core.QueryKey]*pendingQuery),
-		sfOrig:  make(map[core.QueryKey]*sfOrigQuery),
 		sfLocal: make(map[core.QueryKey]*sfLocalState),
 		sfSeen:  make(map[core.QueryKey]bool),
 		conns:   make(map[core.DeviceID]*peerConn),
@@ -334,10 +336,7 @@ func (p *Peer) Close() {
 	}
 	p.closed = true
 	for _, pq := range p.pending {
-		if !pq.closed {
-			pq.closed = true
-			close(pq.done)
-		}
+		pq.close()
 	}
 	inbound := make([]net.Conn, 0, len(p.inbound))
 	for c := range p.inbound {
@@ -508,9 +507,8 @@ func (p *Peer) failSlot(fk *core.QueryKey, to core.DeviceID, cause string) {
 	if pq.deadErr == nil {
 		pq.deadErr = fmt.Errorf("%w (first: peer %d, %s)", ErrUnreachable, to, cause)
 	}
-	if pq.sent > 0 && len(pq.failed) >= pq.sent && pq.results == 0 {
-		pq.closed = true
-		close(pq.done)
+	if pq.unreachable() {
+		pq.close()
 	}
 }
 
@@ -528,28 +526,38 @@ func (p *Peer) handleQuery(q core.Query, tc *wire.TraceContext) {
 		p.traceStage(tc, telemetry.StageHandle, core.DeviceID(tc.Parent), 0)
 	}
 	res := p.dev.Process(q)
-	reply := wire.EncodeResult(wire.Result{
+	p.reply(q.Key(), hop, wire.EncodeResult(wire.Result{
 		Key: q.Key(), From: p.dev.ID, Tuples: res.Skyline,
-	})
-	rtc := p.traceCtx(q.Key(), hop)
-	p.traceStage(rtc, telemetry.StageReply, q.Org, wire.FrameWireSize(len(reply), rtc != nil))
-	p.send(q.Org, reply, rtc)
-	fwd := wire.EncodeQuery(core.Forwardable(q, res))
-	ftc := p.traceCtx(q.Key(), hop+1)
+	}))
+	p.forward(q.Key(), hop, wire.EncodeQuery(core.Forwardable(q, res)))
+}
+
+// reply sends a frame answering query key back to its originator, as hop
+// hop of the query's trace.
+func (p *Peer) reply(key core.QueryKey, hop uint8, frame []byte) {
+	tc := p.traceCtx(key, hop)
+	p.traceStage(tc, telemetry.StageReply, key.Org, wire.FrameWireSize(len(frame), tc != nil))
+	p.send(key.Org, frame, tc)
+}
+
+// forward passes a flood frame of query key, received as hop hop, on to
+// every neighbour but the originator.
+func (p *Peer) forward(key core.QueryKey, hop uint8, frame []byte) {
+	tc := p.traceCtx(key, hop+1)
 	p.mu.Lock()
 	neighbors := append([]core.DeviceID(nil), p.neighbors...)
 	p.mu.Unlock()
 	for _, nb := range neighbors {
-		if nb != q.Org {
-			p.send(nb, fwd, ftc)
+		if nb != key.Org {
+			p.send(nb, frame, tc)
 		}
 	}
 }
 
-// handleResult merges one device's reply at the originator. Results are
-// deduplicated by sender: a retried or chaos-duplicated frame must not
-// count twice toward the quorum (it would complete a query early with
-// devices missing).
+// handleResult merges one device's reply (a BF result or SF survivors) at
+// the originator. The collector counts each sender once: a retried or
+// chaos-duplicated frame must not count twice toward the quorum (it would
+// complete a query early with devices missing).
 func (p *Peer) handleResult(r wire.Result, tc *wire.TraceContext) {
 	if tc != nil {
 		p.traceStage(tc, telemetry.StageResult, core.DeviceID(r.From), 0)
@@ -560,7 +568,7 @@ func (p *Peer) handleResult(r wire.Result, tc *wire.TraceContext) {
 	if pq == nil {
 		return
 	}
-	if pq.from[r.From] {
+	if !pq.Add(r.From, r.Tuples) {
 		p.met.DupResults.Inc()
 		return
 	}
@@ -568,18 +576,16 @@ func (p *Peer) handleResult(r wire.Result, tc *wire.TraceContext) {
 	// flood reaches it through other neighbours. Un-fail its slot so the
 	// unreachability accounting stays honest.
 	delete(pq.failed, r.From)
-	pq.from[r.From] = true
-	pq.merged = core.Merge(pq.merged, r.Tuples)
-	pq.results++
-	if !pq.closed && pq.results >= pq.want {
-		pq.closed = true
-		close(pq.done)
+	if pq.Complete() {
+		pq.close()
 	}
 }
 
 // QueryResult reports a distributed query's outcome.
 type QueryResult struct {
-	Skyline  []tuple.Tuple
+	Skyline []tuple.Tuple
+	// Results counts the distinct peers whose answer reached the
+	// originator.
 	Results  int
 	Complete bool
 	Elapsed  time.Duration
@@ -588,76 +594,73 @@ type QueryResult struct {
 // ErrClosed is returned when querying a closed peer.
 var ErrClosed = errors.New("tcp: peer closed")
 
-// Query originates a distributed constrained skyline query at this peer,
-// floods it over the neighbour links, and blocks until the quorum of other
-// peers responded or the timeout elapsed. totalPeers is the network size
-// the quorum is computed against. Closing the peer releases a blocked
-// Query immediately with the results merged so far.
-func (p *Peer) Query(d float64, totalPeers int) (QueryResult, error) {
+// Query originates a distributed constrained skyline query around pos at
+// this peer under the paper's breadth-first flood, and blocks until the
+// quorum of other peers responded or the timeout elapsed. totalPeers is
+// the network size the quorum is computed against. Closing the peer
+// releases a blocked Query immediately with the results merged so far.
+func (p *Peer) Query(pos tuple.Point, d float64, totalPeers int) (QueryResult, error) {
+	return p.query(pos, d, totalPeers, false)
+}
+
+// query runs both strategies' originator: originate the query, flood it
+// (SF: sample request, then the filter set), wait for the quorum, deadline,
+// dead-lettered floods or Close, and report.
+func (p *Peer) query(pos tuple.Point, d float64, totalPeers int, sf bool) (QueryResult, error) {
 	start := time.Now()
-	q, res := p.dev.Originate(p.pos, d)
-	if p.cfg.Spans != nil {
-		p.cfg.Spans.Begin(spanKey(q.Key()), nowSecs())
+	q, res := p.dev.Originate(pos, d)
+	if sf {
+		q = q.Bare()
 	}
-	want := int(float64(totalPeers-1)*p.cfg.Quorum + 0.999999)
-	if want < 0 {
-		want = 0
+	key := q.Key()
+	if p.cfg.Spans != nil {
+		p.cfg.Spans.Begin(spanKey(key), nowSecs())
 	}
 	pq := &pendingQuery{
-		merged: res.Skyline,
-		from:   make(map[core.DeviceID]bool),
-		failed: make(map[core.DeviceID]bool),
-		want:   want,
-		done:   make(chan struct{}),
+		Collector: core.NewCollector(res.Skyline, p.cfg.Quorum, totalPeers-1),
+		failed:    make(map[core.DeviceID]bool),
+		done:      make(chan struct{}),
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return QueryResult{}, ErrClosed
 	}
-	p.pending[q.Key()] = pq
+	p.pending[key] = pq
+	if sf {
+		p.sfSeen[key] = true // drop echoes of our own filter flood early
+	}
 	neighbors := append([]core.DeviceID(nil), p.neighbors...)
 	p.mu.Unlock()
 
-	complete := want == 0
-	if !complete {
-		key := q.Key()
-		enc := wire.EncodeQuery(q)
-		qtc := p.traceCtx(key, 1)
-		for _, nb := range neighbors {
-			p.sendTagged(nb, enc, qtc, &key)
+	if !pq.Complete() {
+		expire := time.AfterFunc(p.cfg.QueryTimeout, func() {
+			p.mu.Lock()
+			pq.close()
+			p.mu.Unlock()
+		})
+		defer expire.Stop()
+		if sf {
+			p.sfFloods(q, pq, neighbors)
+		} else {
+			p.flood(pq, key, neighbors, wire.EncodeQuery(q))
 		}
-		// Arm the unreachability check only after every flood frame is
-		// tagged out, so a fast failSlot during the loop cannot fire early.
-		p.mu.Lock()
-		pq.sent = len(neighbors)
-		if !pq.closed && pq.sent > 0 && len(pq.failed) >= pq.sent && pq.results == 0 {
-			pq.closed = true
-			close(pq.done)
-		}
-		p.mu.Unlock()
-		timer := time.NewTimer(p.cfg.QueryTimeout)
-		defer timer.Stop()
-		select {
-		case <-pq.done:
-		case <-timer.C:
-		}
+		<-pq.done
 	}
 
 	p.mu.Lock()
-	complete = complete || pq.results >= pq.want
+	complete := pq.Complete()
 	var qerr error
-	if !complete && pq.results == 0 && pq.deadErr != nil &&
-		pq.sent > 0 && len(pq.failed) >= pq.sent {
+	if !complete && pq.unreachable() {
 		qerr = pq.deadErr
 	}
 	out := QueryResult{
-		Skyline:  append([]tuple.Tuple(nil), pq.merged...),
-		Results:  pq.results,
+		Skyline:  append([]tuple.Tuple(nil), pq.Merged()...),
+		Results:  pq.Results(),
 		Complete: complete,
 		Elapsed:  time.Since(start),
 	}
-	delete(p.pending, q.Key())
+	delete(p.pending, key)
 	p.mu.Unlock()
 	p.met.QueriesIssued.Inc()
 	p.met.QueryLatency.Observe(out.Elapsed.Seconds())
@@ -666,9 +669,27 @@ func (p *Peer) Query(d float64, totalPeers int) (QueryResult, error) {
 	}
 	if p.cfg.Spans != nil {
 		if !complete {
-			p.cfg.Spans.MarkPartial(spanKey(q.Key()))
+			p.cfg.Spans.MarkPartial(spanKey(key))
 		}
-		p.cfg.Spans.Complete(spanKey(q.Key()), nowSecs(), len(out.Skyline))
+		p.cfg.Spans.Complete(spanKey(key), nowSecs(), len(out.Skyline))
 	}
 	return out, qerr
+}
+
+// flood sends one originator frame to every neighbour, tagged with the
+// query key so that a frame which can never be delivered fails its
+// neighbour's quorum slot at once (failSlot).
+func (p *Peer) flood(pq *pendingQuery, key core.QueryKey, neighbors []core.DeviceID, frame []byte) {
+	tc := p.traceCtx(key, 1)
+	for _, nb := range neighbors {
+		p.sendTagged(nb, frame, tc, &key)
+	}
+	// Arm the unreachability check only after every frame is tagged out,
+	// so a fast failSlot during the loop cannot fire early.
+	p.mu.Lock()
+	pq.sent = len(neighbors)
+	if pq.unreachable() {
+		pq.close()
+	}
+	p.mu.Unlock()
 }

@@ -57,7 +57,7 @@ func TestQueryOverRealSockets(t *testing.T) {
 	peers, data, cleanup := buildPeers(t, DefaultConfig(), 3000, 2, 3, 5)
 	defer cleanup()
 	for _, org := range []int{0, 4, 8} {
-		res, err := peers[org].Query(500, len(peers))
+		res, err := peers[org].Query(peers[org].Pos(), 500, len(peers))
 		if err != nil {
 			t.Fatalf("Query: %v", err)
 		}
@@ -81,7 +81,7 @@ func TestConcurrentQueriesOverSockets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := p.Query(600, len(peers))
+			res, err := p.Query(p.Pos(), 600, len(peers))
 			if err != nil || !res.Complete {
 				errs <- "incomplete or failed"
 				return
@@ -107,7 +107,7 @@ func TestDeadNeighborToleratedViaTimeout(t *testing.T) {
 	// Kill one corner peer; queries from the opposite corner lose it (and
 	// possibly nothing else — the grid has alternate routes).
 	peers[3].Close()
-	res, err := peers[0].Query(core.Unconstrained(), len(peers))
+	res, err := peers[0].Query(peers[0].Pos(), core.Unconstrained(), len(peers))
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestCloseIsIdempotentAndQueryAfterCloseErrors(t *testing.T) {
 	}
 	p.Close()
 	p.Close()
-	if _, err := p.Query(10, 1); err != ErrClosed {
+	if _, err := p.Query(p.Pos(), 10, 1); err != ErrClosed {
 		t.Errorf("Query after Close = %v, want ErrClosed", err)
 	}
 }
@@ -180,7 +180,7 @@ func TestDuplicateResultFrameDoesNotCompleteQuorum(t *testing.T) {
 	// test injects replies over a raw socket.
 	resCh := make(chan QueryResult, 1)
 	go func() {
-		r, err := p.Query(core.Unconstrained(), 3)
+		r, err := p.Query(p.Pos(), core.Unconstrained(), 3)
 		if err != nil {
 			t.Errorf("Query: %v", err)
 		}
@@ -231,7 +231,7 @@ func TestDistinctSendersCompleteQuorumDespiteDuplicates(t *testing.T) {
 
 	resCh := make(chan QueryResult, 1)
 	go func() {
-		r, _ := p.Query(core.Unconstrained(), 3)
+		r, _ := p.Query(p.Pos(), core.Unconstrained(), 3)
 		resCh <- r
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -331,7 +331,7 @@ func TestPeerCloseLeaksNothing(t *testing.T) {
 	dead := core.DeviceID(99)
 	peers[0].dir.Register(dead, "127.0.0.1:1")
 	peers[0].AddNeighbor(dead)
-	if _, err := peers[0].Query(400, len(peers)); err != nil {
+	if _, err := peers[0].Query(peers[0].Pos(), 400, len(peers)); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 	cleanup()
@@ -346,7 +346,7 @@ func TestSinglePeerQuery(t *testing.T) {
 		t.Fatalf("NewPeer: %v", err)
 	}
 	defer p.Close()
-	res, err := p.Query(300, 1)
+	res, err := p.Query(p.Pos(), 300, 1)
 	if err != nil || !res.Complete {
 		t.Fatalf("solo query: %v %v", err, res.Complete)
 	}

@@ -75,7 +75,7 @@ func benchQueries(b *testing.B, traced bool) {
 			peers, cleanup = benchPeers(b, traced, int64(31+i))
 			b.StartTimer()
 		}
-		res, err := peers[0].Query(core.Unconstrained(), len(peers))
+		res, err := peers[0].Query(peers[0].Pos(), core.Unconstrained(), len(peers))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func findStage(sp *telemetry.Span, kind string) (telemetry.Stage, bool) {
 func TestPerHopSpansEndToEnd(t *testing.T) {
 	peers, logs, cleanup := tracedPeers(t, nil)
 	defer cleanup()
-	res, err := peers[0].Query(core.Unconstrained(), 3)
+	res, err := peers[0].Query(peers[0].Pos(), core.Unconstrained(), 3)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestTracedBytesLedger(t *testing.T) {
 	defer peers[0].Close()
 	peers[0].AddNeighbor(1)
 	peers[1].AddNeighbor(0)
-	if _, err := peers[0].Query(core.Unconstrained(), 2); err != nil {
+	if _, err := peers[0].Query(peers[0].Pos(), core.Unconstrained(), 2); err != nil {
 		t.Fatal(err)
 	}
 	// Give both ends' counters a moment to settle: the sender bumps Sent
@@ -260,7 +260,7 @@ func TestLinkStatsAndGauges(t *testing.T) {
 	cfg.Registry = reg
 	peers, _, cleanup := buildPeers(t, cfg, 500, 2, 2, 21)
 	defer cleanup()
-	if _, err := peers[0].Query(core.Unconstrained(), len(peers)); err != nil {
+	if _, err := peers[0].Query(peers[0].Pos(), core.Unconstrained(), len(peers)); err != nil {
 		t.Fatal(err)
 	}
 	stats := peers[0].LinkStats()
@@ -336,7 +336,7 @@ func TestUntracedPeersInteroperate(t *testing.T) {
 	defer p1.Close()
 	p0.AddNeighbor(1)
 	p1.AddNeighbor(0)
-	res, err := p0.Query(core.Unconstrained(), 2)
+	res, err := p0.Query(p0.Pos(), core.Unconstrained(), 2)
 	if err != nil || !res.Complete {
 		t.Fatalf("mixed-fleet query failed: %v complete=%v", err, res.Complete)
 	}
